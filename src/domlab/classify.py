@@ -86,10 +86,6 @@ def corona_decomposition(g: Graph) -> CoronaDecomposition | None:
     return CoronaDecomposition(core, labels, matching, ambiguous)
 
 
-def is_corona(g: Graph) -> bool:
-    return corona_decomposition(g) is not None
-
-
 def is_corona_of_connected(g: Graph) -> bool:
     from .graphs import is_connected
 
@@ -205,27 +201,25 @@ def cycle_pair_link_ok(g: Graph, cyc1: tuple[int, ...], cyc2: tuple[int, ...]) -
     return False
 
 
+def _cycle_pairs_ok(g: Graph, cycles) -> bool:
+    return all(
+        cycle_pair_link_ok(g, c1, c2)
+        for i, c1 in enumerate(cycles)
+        for c2 in cycles[i + 1:]
+    )
+
+
 def check_pc_well_dominated(g: Graph, pc: PCPartition) -> bool:
     """Every pair of the partition's basic 5-cycles satisfies the 0/2/4 edge
     condition (two joining edges must be vertex-disjoint)."""
     if pc.p_mask | pc.c_mask != g.full_mask or pc.p_mask & pc.c_mask:
         raise ValueError("partition does not match the graph")
-    cycles = pc.basic_cycles
-    for i, c1 in enumerate(cycles):
-        for c2 in cycles[i + 1:]:
-            if not cycle_pair_link_ok(g, c1, c2):
-                return False
-    return True
+    return _cycle_pairs_ok(g, pc.basic_cycles)
 
 
 def all_basic_cycle_pairs_ok(g: Graph) -> bool:
     """The 0/2/4 edge condition over every pair of basic 5-cycles of g."""
-    cycles = basic_five_cycles(g)
-    for i, c1 in enumerate(cycles):
-        for c2 in cycles[i + 1:]:
-            if not cycle_pair_link_ok(g, c1, c2):
-                return False
-    return True
+    return _cycle_pairs_ok(g, basic_five_cycles(g))
 
 
 # -- the eleven-graph family ---------------------------------------------------------

@@ -1,12 +1,19 @@
 """Exact domination and independence invariants.
 
-All solvers work on bitmask vertex sets.  Enumeration of minimal dominating
-sets branches on the lowest-index undominated vertex, trying each member of
-its closed neighborhood with previously tried candidates excluded, and prunes
-any branch in which a chosen vertex loses its last private neighbor.  That
-tree visits every minimal dominating set exactly once and supports early
-exit, which is what the well-dominated decider uses; the public generators
-re-yield the sets in lexicographic order for reproducible reports.
+All solvers work on bitmask vertex sets.  One branching kernel,
+``_minimal_sets``, serves every search over dominating sets, on closed
+neighborhoods for domination and open ones for total domination.  It walks
+an explicit stack, branches on the lowest-index undominated vertex, tries
+each vertex that dominates it with the siblings tried before excluded, and
+prunes a branch in which a chosen vertex dominates no vertex alone (a mask
+of the vertices dominated exactly once shows this without a rescan).  That
+tree visits every minimal set exactly once and supports early exit, which
+the well-dominated decider uses.  Under a size bound the kernel also cuts
+nodes that cannot reach a cover within it: gamma is the last set of a
+stream whose bound drops below each set found, and the minimum dominating
+sets are the stream bounded by gamma.  The public generators re-yield the
+sets in lexicographic order for reproducible reports.  Maximal independent
+sets come from a separate Bron--Kerbosch search with pivoting.
 
 The greedy procedure mirrors the classical one for well-dominated graphs:
 start from all vertices and drop each vertex, in the given order, whenever
@@ -19,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .graphs import (
     Graph,
@@ -82,33 +89,60 @@ def is_maximal_independent(g: Graph, s: int) -> bool:
     return is_independent(g, s) and closed_neighborhood(g, s) == g.full_mask
 
 
-# -- enumeration kernels ------------------------------------------------------
+# -- the branching kernel -----------------------------------------------------
+
+
+def _minimal_sets(
+    rows: Sequence[int], full: int, bound: list[int] | None = None
+) -> Iterator[int]:
+    """Every minimal set whose rows cover ``full``, once each, in DFS order.
+
+    ``rows[v]`` is the mask that v dominates.  Stack entries are (set,
+    dominated, dominated once, forbidden, size).  With ``bound``, only sets
+    of at most ``bound[0]`` members come out, and the caller may lower
+    ``bound[0]`` between results.
+    """
+    stack = [(0, 0, 0, 0, 0)]
+    while stack:
+        s, dom, once, forbidden, size = stack.pop()
+        if bound is not None and size > bound[0]:
+            continue
+        if dom == full:
+            yield s
+            continue
+        rem = full & ~dom
+        if bound is not None:
+            room = bound[0] - size
+            if not room:
+                continue
+            maxcov = 0
+            for row in rows:
+                cov = (row & rem).bit_count()
+                if cov > maxcov:
+                    maxcov = cov
+            if rem.bit_count() > room * maxcov:
+                continue
+        u = (rem & -rem).bit_length() - 1
+        children = []
+        for c in iter_bits(rows[u] & ~forbidden):
+            row = rows[c]
+            once2 = once & ~row | row & ~dom
+            # c keeps u; a member can only lose vertices c dominates again.
+            m = s if once & row else 0
+            while m:
+                low = m & -m
+                if not rows[low.bit_length() - 1] & once2:
+                    break
+                m ^= low
+            else:
+                children.append((s | 1 << c, dom | row, once2, forbidden, size + 1))
+            forbidden |= 1 << c
+        stack.extend(reversed(children))
 
 
 def _iter_minimal_dominating(g: Graph) -> Iterator[int]:
     """Every minimal dominating set exactly once, in branching (DFS) order."""
-    n, full = g.n, g.full_mask
-    cadj = _closed_adj(g)
-
-    def rec(smask: int, dominated: int, forbidden: int) -> Iterator[int]:
-        if dominated == full:
-            yield smask
-            return
-        u = (~dominated & full)
-        u = (u & -u).bit_length() - 1
-        f = forbidden
-        for c in iter_bits(cadj[u] & ~forbidden):
-            s2 = smask | 1 << c
-            marked = 0
-            for x in range(n):
-                t = cadj[x] & s2
-                if t and t & (t - 1) == 0:
-                    marked |= t
-            if not s2 & ~marked:
-                yield from rec(s2, dominated | cadj[c], f)
-            f |= 1 << c
-
-    yield from rec(0, 0, 0)
+    return _minimal_sets(_closed_adj(g), g.full_mask)
 
 
 def minimal_dominating_sets(g: Graph) -> Iterator[int]:
@@ -146,28 +180,7 @@ def maximal_independent_sets(g: Graph) -> Iterator[int]:
 
 def _iter_minimal_total_dominating(g: Graph) -> Iterator[int]:
     """Minimal total dominating sets; the graph must have no isolated vertex."""
-    n, full = g.n, g.full_mask
-    adj = g.adj
-
-    def rec(smask: int, covered: int, forbidden: int) -> Iterator[int]:
-        if covered == full:
-            yield smask
-            return
-        u = ~covered & full
-        u = (u & -u).bit_length() - 1
-        f = forbidden
-        for c in iter_bits(adj[u] & ~forbidden):
-            s2 = smask | 1 << c
-            marked = 0
-            for x in range(n):
-                t = adj[x] & s2
-                if t and t & (t - 1) == 0:
-                    marked |= t
-            if not s2 & ~marked:
-                yield from rec(s2, covered | adj[c], f)
-            f |= 1 << c
-
-    yield from rec(0, 0, 0)
+    return _minimal_sets(g.adj, g.full_mask)
 
 
 # -- optimization -------------------------------------------------------------
@@ -190,45 +203,13 @@ def _greedy_cover(g: Graph) -> int:
 
 @lru_cache(maxsize=None)
 def minimum_dominating_set(g: Graph) -> int:
-    """One minimum dominating set, by branch and bound with a greedy bound."""
-    n, full = g.n, g.full_mask
-    cadj = _closed_adj(g)
-    best_mask = _greedy_cover(g)
-    best = best_mask.bit_count()
-
-    def bb(smask: int, dominated: int, size: int, forbidden: int) -> None:
-        nonlocal best, best_mask
-        if dominated == full:
-            if size < best:
-                best, best_mask = size, smask
-            return
-        rem = full & ~dominated
-        maxcov = 0
-        for v in range(n):
-            c = (cadj[v] & rem).bit_count()
-            if c > maxcov:
-                maxcov = c
-        if size + (rem.bit_count() + maxcov - 1) // maxcov >= best:
-            return
-        u = (rem & -rem).bit_length() - 1
-        cands = sorted(
-            iter_bits(cadj[u] & ~forbidden),
-            key=lambda c: -(cadj[c] & rem).bit_count(),
-        )
-        f = forbidden
-        for c in cands:
-            s2 = smask | 1 << c
-            marked = 0
-            for x in range(n):
-                t = cadj[x] & s2
-                if t and t & (t - 1) == 0:
-                    marked |= t
-            if not s2 & ~marked:
-                bb(s2, dominated | cadj[c], size + 1, f)
-            f |= 1 << c
-
-    bb(0, 0, 0, 0)
-    return best_mask
+    """One minimum dominating set: the last of a stream whose size bound
+    starts just below the greedy cover and drops below each set found."""
+    best = _greedy_cover(g)
+    bound = [best.bit_count() - 1]
+    for best in _minimal_sets(_closed_adj(g), g.full_mask, bound):
+        bound[0] = best.bit_count() - 1
+    return best
 
 
 def domination_number(g: Graph) -> int:
@@ -237,33 +218,8 @@ def domination_number(g: Graph) -> int:
 
 def minimum_dominating_sets(g: Graph) -> list[int]:
     """All dominating sets of minimum size, in lexicographic order."""
-    k = domination_number(g)
-    n, full = g.n, g.full_mask
-    cadj = _closed_adj(g)
-    out = []
-
-    def rec(smask: int, dominated: int, size: int, forbidden: int) -> None:
-        if dominated == full:
-            out.append(smask)
-            return
-        if size == k:
-            return
-        rem = full & ~dominated
-        maxcov = 0
-        for v in range(n):
-            c = (cadj[v] & rem).bit_count()
-            if c > maxcov:
-                maxcov = c
-        if size + (rem.bit_count() + maxcov - 1) // maxcov > k:
-            return
-        u = (rem & -rem).bit_length() - 1
-        f = forbidden
-        for c in iter_bits(cadj[u] & ~forbidden):
-            rec(smask | 1 << c, dominated | cadj[c], size + 1, f)
-            f |= 1 << c
-
-    rec(0, 0, 0, 0)
-    return sorted(out, key=set_of)
+    bound = [domination_number(g)]
+    return sorted(_minimal_sets(_closed_adj(g), g.full_mask, bound), key=set_of)
 
 
 @lru_cache(maxsize=None)

@@ -150,11 +150,6 @@ def canonical_key(g: Graph) -> str:
     return to_graph6(canonical_graph(g))
 
 
-def automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
-    """Automorphisms found during the canonical search (not a full group)."""
-    return canonical_labeling(g)[1]
-
-
 def are_isomorphic(g: Graph, h: Graph) -> bool:
     """Exact isomorphism test via canonical forms."""
     if g.n != h.n or g.edge_count != h.edge_count:

@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .enumeration import DEFAULT_BUDGET, enumerate_connected
 from .graph6 import load_graph6_file, parse_graph6, to_graph6
-from .graphs import Graph, is_triangle_free
+from .graphs import MAX_ORDER, Graph, is_triangle_free
 from .classify import NOT_MEMBER, classify_small_triangle_free
 from .theorems import THEOREMS, Verdict, check_instance
 
@@ -75,6 +75,11 @@ class PairCorpusSpec:
     left: CorpusSpec
     right: CorpusSpec
     product_cap: int = 25
+
+    def __post_init__(self) -> None:
+        if not 1 <= self.product_cap <= MAX_ORDER:
+            raise ValueError(
+                f"product cap {self.product_cap} outside 1..{MAX_ORDER}")
 
     def describe(self) -> str:
         return (f"ordered pairs of ({self.left.describe()}) x "

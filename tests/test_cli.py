@@ -142,6 +142,22 @@ def test_verify_product_cap_flag(capsys):
     assert small < json.loads(out)["scanned"]
 
 
+def test_verify_bad_product_cap_fails_before_corpus_load(capsys, tmp_path, monkeypatch):
+    import domlab.verify
+
+    def no_load(path):
+        raise AssertionError("corpus loaded before the spec was checked")
+
+    monkeypatch.setattr(domlab.verify, "load_graph6_file", no_load)
+    path = tmp_path / "in.g6"
+    save_graph6_file(path, [cycle_graph(5)])
+    code, out, err = run(capsys, "verify", "T1", "--corpus", str(path),
+                         "--product-cap", "100", "--workers", "1")
+    assert code == 2
+    assert out == ""
+    assert "product cap 100" in err
+
+
 def test_verify_default_corpus_keeps_triangle_free(capsys):
     # T2's default corpus is triangle-free; narrowing the orders must not
     # silently drop that filter

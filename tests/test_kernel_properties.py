@@ -1,0 +1,61 @@
+"""Property tests: the domination branching kernel against the subset oracle
+on random graphs of order <= 10."""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from domlab.domination import (
+    domination_number,
+    is_minimal_dominating,
+    minimal_dominating_sets,
+    minimum_dominating_sets,
+    total_domination_numbers,
+    well_dominated_certificate,
+)
+from domlab.graphs import Graph, set_of
+
+import bruteforce
+
+PROPERTY = settings(max_examples=60, deadline=None)
+
+
+@st.composite
+def graphs(draw, min_order=1, max_order=10):
+    n = draw(st.integers(min_order, max_order))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n, [e for e, k in zip(pairs, keep) if k])
+
+
+@st.composite
+def isolate_free_graphs(draw):
+    g = draw(graphs(min_order=2))
+    extra = [(v, (v + 1) % g.n) for v in range(g.n) if not g.adj[v]]
+    return Graph(g.n, list(g.edges()) + extra)
+
+
+@PROPERTY
+@given(graphs())
+def test_minimal_and_minimum_dominating_sets_match_oracle(g):
+    oracle = sorted(bruteforce.all_minimal_dominating(g), key=set_of)
+    assert list(minimal_dominating_sets(g)) == oracle
+    gamma = min(s.bit_count() for s in oracle)
+    assert minimum_dominating_sets(g) == [s for s in oracle if s.bit_count() == gamma]
+
+
+@PROPERTY
+@given(isolate_free_graphs())
+def test_total_domination_numbers_match_oracle(g):
+    assert total_domination_numbers(g) == bruteforce.total_numbers(g)
+
+
+@PROPERTY
+@given(graphs())
+def test_well_dominated_certificate_matches_oracle(g):
+    sizes = {s.bit_count() for s in bruteforce.all_minimal_dominating(g)}
+    cert = well_dominated_certificate(g)
+    assert (cert is None) == (len(sizes) == 1)
+    if cert is not None:
+        small, large = cert
+        assert is_minimal_dominating(g, small) and is_minimal_dominating(g, large)
+        assert domination_number(g) == min(sizes) <= small.bit_count() < large.bit_count()

@@ -4,6 +4,7 @@ import pytest
 
 from domlab.catalog import complete_graph, cycle_graph, path_graph
 from domlab.graph6 import save_graph6_file, to_graph6
+from domlab.graphs import MAX_ORDER
 from domlab.verify import (
     DEFAULT_CORPORA,
     CorpusSpec,
@@ -99,6 +100,14 @@ def test_product_cap_limits_pairs():
     capped = verify_corpus("UB3", PairCorpusSpec(spec, spec, product_cap=6))
     uncapped = verify_corpus("UB3", PairCorpusSpec(spec, spec, product_cap=25))
     assert capped.scanned < uncapped.scanned
+
+
+def test_product_cap_outside_range_rejected_at_construction():
+    spec = CorpusSpec(2, 5)
+    for cap in (0, MAX_ORDER + 1, 100):
+        with pytest.raises(ValueError, match="product cap"):
+            PairCorpusSpec(spec, spec, product_cap=cap)
+    assert PairCorpusSpec(spec, spec, product_cap=MAX_ORDER).product_cap == MAX_ORDER
 
 
 def test_counterexample_cap_respected(tmp_path):
