@@ -18,7 +18,6 @@ from domlab import (
     to_graph6,
 )
 from domlab.catalog import complete_graph, cycle_graph, path_graph
-from domlab.products import expected_edge_count
 
 K2 = complete_graph(2)
 K3 = complete_graph(3)
@@ -31,10 +30,16 @@ print("C4 x K2 falls apart:", not is_connected(direct(C4, K2).graph))
 print("K2 v K2 ~ K4:", are_isomorphic(disjunctive(K2, K2).graph, complete_graph(4)))
 
 # Edge counts obey closed forms, one per product kind.
-for kind in ("cartesian", "direct", "disjunctive"):
-    p = {"cartesian": cartesian, "direct": direct, "disjunctive": disjunctive}[kind](P4, K3)
+mg, mh, ng, nh = P4.edge_count, K3.edge_count, P4.n, K3.n
+formulas = {
+    "cartesian": ng * mh + nh * mg,
+    "direct": 2 * mg * mh,
+    "disjunctive": mg * nh * nh + mh * ng * ng - 2 * mg * mh,
+}
+for kind, make in (("cartesian", cartesian), ("direct", direct), ("disjunctive", disjunctive)):
+    p = make(P4, K3)
     print(f"{kind:12s} P4*K3: {p.graph.edge_count} edges "
-          f"(formula {expected_edge_count(kind, P4, K3)}), graph6 {to_graph6(p.graph)}")
+          f"(formula {formulas[kind]}), graph6 {to_graph6(p.graph)}")
 
 # Layers: fix a coordinate in one factor and look at the induced copy.
 d = direct(K3, K3)

@@ -103,18 +103,3 @@ def direct(g: Graph, h: Graph) -> ProductGraph:
 
 def disjunctive(g: Graph, h: Graph) -> ProductGraph:
     return product("disjunctive", g, h)
-
-
-def expected_edge_count(kind: str, g: Graph, h: Graph) -> int:
-    """Closed-form edge count of a product: |V(g)|*|E(h)| + |V(h)|*|E(g)|
-    for cartesian, 2*|E(g)|*|E(h)| for direct, and
-    |E(g)|*|V(h)|^2 + |E(h)|*|V(g)|^2 - 2*|E(g)|*|E(h)| for disjunctive."""
-    mg, mh = g.edge_count, h.edge_count
-    ng, nh = g.n, h.n
-    if kind == "cartesian":
-        return ng * mh + nh * mg
-    if kind == "direct":
-        return 2 * mg * mh
-    if kind == "disjunctive":
-        return mg * nh * nh + mh * ng * ng - 2 * mg * mh
-    raise ValueError(f"unknown product kind {kind!r}")

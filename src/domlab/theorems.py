@@ -1,11 +1,12 @@
 """The theorem table: one checkable predicate per verified statement.
 
 Each entry has a hypothesis filter (the statement's standing assumptions)
-and a conclusion predicate.  Biconditional statements are checked in both
-directions and report which direction failed.  Conclusions return an
-optional witness dictionary that goes into counterexample certificates;
-vertex sets are rendered as sorted index lists (product vertices use the
-row-major index map of :mod:`domlab.products`).
+and a conclusion predicate, plus an optional tag hook whose non-None
+results a sweep collects into its report.  Biconditional statements go
+through :func:`_iff`, which reports which direction failed.  Conclusions
+return an optional witness dictionary that goes into counterexample
+certificates; vertex sets are rendered as sorted index lists (product
+vertices use the row-major index map of :mod:`domlab.products`).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .catalog import complete_graph, cycle_graph
+from .catalog import complete_graph, cycle_graph, special_graph
 from .classify import (
     NOT_MEMBER,
     all_basic_cycle_pairs_ok,
@@ -45,9 +46,12 @@ from .graphs import Graph, girth, is_connected, iter_bits, set_of
 from .isomorphism import are_isomorphic
 from .products import cartesian, direct, disjunctive
 
+K1 = complete_graph(1)
 K2 = complete_graph(2)
 K3 = complete_graph(3)
 C4 = cycle_graph(4)
+C7 = cycle_graph(7)
+P10 = special_graph("P10")
 
 
 @dataclass(frozen=True)
@@ -68,6 +72,7 @@ class TheoremEntry:
     summary: str
     hypothesis: Callable
     conclusion: Callable  # returns Verdict with status holds/counterexample
+    tag: Callable | None = None  # instance -> report tag or None, when the hypothesis holds
 
 
 def _sets(**kw) -> dict:
@@ -84,15 +89,29 @@ def _fail(clause: str, **witness) -> Verdict:
     return Verdict("counterexample", clause, _sets(**witness))
 
 
+def _iff(lhs: bool, rhs: bool, lhs_only: str, rhs_only: str,
+         lhs_witness: Callable[[], dict] = dict,
+         rhs_witness: Callable[[], dict] = dict) -> Verdict:
+    """Check ``lhs`` iff ``rhs``.  A failed direction reports its clause
+    (``lhs_only``: lhs without rhs) and builds its witness only then."""
+    if lhs == rhs:
+        return HOLDS
+    if lhs:
+        return Verdict("counterexample", lhs_only, lhs_witness())
+    return Verdict("counterexample", rhs_only, rhs_witness())
+
+
 def _nontrivial(g: Graph) -> bool:
     return g.n >= 2
 
 
 def _wd_witness(g: Graph) -> dict:
+    # Two minimal dominating sets of different sizes; the smaller one need
+    # not be minimum (it may come from the well-covered shortcut).
     cert = well_dominated_certificate(g)
     if cert is None:
         return {}
-    return {"min_dom_small": cert[0], "min_dom_large": cert[1]}
+    return _sets(minimal_dom_small=cert[0], minimal_dom_large=cert[1])
 
 
 # -- single-graph conclusions -------------------------------------------------
@@ -133,27 +152,19 @@ def _bc(g: Graph) -> Verdict:
 
 
 def _px(g: Graph) -> Verdict:
-    lhs = 2 * domination_number(g) == g.n
-    rhs = are_isomorphic(g, C4) or is_corona_of_connected(g)
-    if lhs and not rhs:
-        return _fail("gamma = n/2 but neither a 4-cycle nor a corona of a connected graph")
-    if rhs and not lhs:
-        return Verdict("counterexample",
-                       "4-cycle or corona of a connected graph with gamma != n/2",
-                       {"gamma": domination_number(g), "order": g.n})
-    return HOLDS
+    return _iff(2 * domination_number(g) == g.n,
+                are_isomorphic(g, C4) or is_corona_of_connected(g),
+                "gamma = n/2 but neither a 4-cycle nor a corona of a connected graph",
+                "4-cycle or corona of a connected graph with gamma != n/2",
+                rhs_witness=lambda: {"gamma": domination_number(g), "order": g.n})
 
 
 def _lk2(g: Graph) -> Verdict:
     p = direct(g, K2).graph
-    lhs = is_well_dominated(p)
-    rhs = are_isomorphic(g, C4) or is_corona_of_connected(g)
-    if lhs and not rhs:
-        return _fail("direct product with K2 well-dominated but base has the wrong shape")
-    if rhs and not lhs:
-        return _fail("4-cycle or corona, but direct product with K2 not well-dominated",
-                     **_wd_witness(p))
-    return HOLDS
+    return _iff(is_well_dominated(p), are_isomorphic(g, C4) or is_corona_of_connected(g),
+                "direct product with K2 well-dominated but base has the wrong shape",
+                "4-cycle or corona, but direct product with K2 not well-dominated",
+                rhs_witness=lambda: _wd_witness(p))
 
 
 def _l2p(g: Graph) -> Verdict:
@@ -187,17 +198,17 @@ def _lne(g: Graph) -> Verdict:
                     "gamma_t": total_domination_number(g)})
 
 
-def _tf11(g: Graph) -> Verdict:
-    member = is_well_dominated(g) and domination_number(g) <= 3
+def _tf11_tag(g: Graph) -> str | None:
     tag = classify_small_triangle_free(g)
-    if member and tag == NOT_MEMBER:
-        return _fail("well-dominated with gamma <= 3 but outside the eleven-graph catalog",
-                     **_wd_witness(g))
-    if not member and tag != NOT_MEMBER:
-        return Verdict("counterexample",
-                       "catalog member that is not well-dominated with gamma <= 3",
-                       {"tag": tag})
-    return HOLDS
+    return None if tag == NOT_MEMBER else tag
+
+
+def _tf11(g: Graph) -> Verdict:
+    tag = _tf11_tag(g)
+    return _iff(is_well_dominated(g) and domination_number(g) <= 3, tag is not None,
+                "well-dominated with gamma <= 3 but outside the eleven-graph catalog",
+                "catalog member that is not well-dominated with gamma <= 3",
+                lambda: _wd_witness(g), lambda: {"tag": tag})
 
 
 def _g5wd(g: Graph) -> Verdict:
@@ -205,8 +216,6 @@ def _g5wd(g: Graph) -> Verdict:
     # basic 5-cycles) while lying outside the pendant/5-cycle class, so the
     # checkable content is: membership forces the edge condition, and
     # non-membership forces one of the three exceptional graphs.
-    from .catalog import special_graph
-
     in_pc = pc_partition(g) is not None
     pairs_ok = all_basic_cycle_pairs_ok(g)
     if in_pc and not pairs_ok:
@@ -214,8 +223,7 @@ def _g5wd(g: Graph) -> Verdict:
                        "pendant/5-cycle member violating the 0/2/4 edge condition",
                        {"in_pc": in_pc, "pairs_ok": pairs_ok})
     if not in_pc:
-        exceptional = (complete_graph(1), cycle_graph(7), special_graph("P10"))
-        if not any(are_isomorphic(g, other) for other in exceptional):
+        if not any(are_isomorphic(g, other) for other in (K1, C7, P10)):
             return _fail("outside the pendant/5-cycle class but not K1, C7, or P10")
     return HOLDS
 
@@ -237,13 +245,10 @@ def _t1(pair) -> Verdict:
 def _t2(pair) -> Verdict:
     g, h = pair
     p = cartesian(g, h).graph
-    lhs = is_well_dominated(p)
-    rhs = are_isomorphic(g, K2) and are_isomorphic(h, K2)
-    if lhs and not rhs:
-        return _fail("triangle-free product well-dominated with a factor other than K2")
-    if rhs and not lhs:
-        return _fail("K2 box K2 not recognized as well-dominated", **_wd_witness(p))
-    return HOLDS
+    return _iff(is_well_dominated(p), are_isomorphic(g, K2) and are_isomorphic(h, K2),
+                "triangle-free product well-dominated with a factor other than K2",
+                "K2 box K2 not recognized as well-dominated",
+                rhs_witness=lambda: _wd_witness(p))
 
 
 def _t3_rhs(g: Graph, h: Graph) -> bool:
@@ -259,14 +264,10 @@ def _t3_rhs(g: Graph, h: Graph) -> bool:
 def _t3(pair) -> Verdict:
     g, h = pair
     p = direct(g, h).graph
-    lhs = is_well_dominated(p)
-    rhs = _t3_rhs(g, h)
-    if lhs and not rhs:
-        return _fail("direct product well-dominated outside the characterized shapes")
-    if rhs and not lhs:
-        return _fail("characterized shape with a direct product that is not well-dominated",
-                     **_wd_witness(p))
-    return HOLDS
+    return _iff(is_well_dominated(p), _t3_rhs(g, h),
+                "direct product well-dominated outside the characterized shapes",
+                "characterized shape with a direct product that is not well-dominated",
+                rhs_witness=lambda: _wd_witness(p))
 
 
 def _t4_rhs(g: Graph, h: Graph) -> bool:
@@ -280,15 +281,11 @@ def _t4_rhs(g: Graph, h: Graph) -> bool:
 def _t4(pair) -> Verdict:
     g, h = pair
     p = disjunctive(g, h).graph
-    lhs = is_well_dominated(p)
-    rhs = _t4_rhs(g, h)
-    if lhs and not rhs:
-        return _fail("disjunctive product well-dominated without the complete-factor shape")
-    if rhs and not lhs:
-        return _fail("complete factor with small-gamma well-dominated mate, "
-                     "but the disjunctive product is not well-dominated",
-                     **_wd_witness(p))
-    return HOLDS
+    return _iff(is_well_dominated(p), _t4_rhs(g, h),
+                "disjunctive product well-dominated without the complete-factor shape",
+                "complete factor with small-gamma well-dominated mate, "
+                "but the disjunctive product is not well-dominated",
+                rhs_witness=lambda: _wd_witness(p))
 
 
 def _ub3(pair) -> Verdict:
@@ -372,33 +369,24 @@ def _dind(pair) -> Verdict:
 
 def _dtot(pair) -> Verdict:
     g, h = pair
-    pv = disjunctive(g, h)
-    uni_g = universal_vertices(g)
-    for a_set in _iter_minimal_total_dominating(h):
-        for gv in range(g.n):
-            if uni_g >> gv & 1:
-                continue
-            prod_set = 0
-            for b in iter_bits(a_set):
-                prod_set |= 1 << pv.index(gv, b)
-            if not is_minimal_dominating(pv.graph, prod_set):
-                return _fail("fixed-vertex copy of a minimal total dominating set "
-                             "is not a minimal dominating set of the disjunctive product",
-                             total_dominating=a_set, product_set=prod_set,
-                             fixed_vertex=[gv])
-    uni_h = universal_vertices(h)
-    for b_set in _iter_minimal_total_dominating(g):
-        for hv in range(h.n):
-            if uni_h >> hv & 1:
-                continue
-            prod_set = 0
-            for a in iter_bits(b_set):
-                prod_set |= 1 << pv.index(a, hv)
-            if not is_minimal_dominating(pv.graph, prod_set):
-                return _fail("fixed-vertex copy of a minimal total dominating set "
-                             "is not a minimal dominating set of the disjunctive product",
-                             total_dominating=b_set, product_set=prod_set,
-                             fixed_vertex=[hv])
+    p = disjunctive(g, h).graph
+    # Product vertex (a, b) is a*|V(h)| + b: fix a vertex of one factor and
+    # copy a minimal total dominating set of the other, in both orientations.
+    q = h.n
+    for fixed, other, fixed_step, set_step in ((g, h, q, 1), (h, g, 1, q)):
+        uni = universal_vertices(fixed)
+        for t_set in _iter_minimal_total_dominating(other):
+            for v in range(fixed.n):
+                if uni >> v & 1:
+                    continue
+                prod_set = 0
+                for b in iter_bits(t_set):
+                    prod_set |= 1 << (v * fixed_step + b * set_step)
+                if not is_minimal_dominating(p, prod_set):
+                    return _fail("fixed-vertex copy of a minimal total dominating set "
+                                 "is not a minimal dominating set of the disjunctive product",
+                                 total_dominating=t_set, product_set=prod_set,
+                                 fixed_vertex=[v])
     return HOLDS
 
 
@@ -413,15 +401,12 @@ def _dne(pair) -> Verdict:
 def _dkn(pair) -> Verdict:
     g, h = pair
     p = disjunctive(g, h).graph
-    lhs = is_well_dominated(p)
-    rhs = is_well_dominated(h) and domination_number(h) <= 2
-    if lhs and not rhs:
-        return _fail("disjunctive product with a complete factor well-dominated "
-                     "while the mate is not well-dominated with gamma <= 2")
-    if rhs and not lhs:
-        return _fail("well-dominated mate with gamma <= 2 but the disjunctive "
-                     "product is not well-dominated", **_wd_witness(p))
-    return HOLDS
+    return _iff(is_well_dominated(p), is_well_dominated(h) and domination_number(h) <= 2,
+                "disjunctive product with a complete factor well-dominated "
+                "while the mate is not well-dominated with gamma <= 2",
+                "well-dominated mate with gamma <= 2 but the disjunctive "
+                "product is not well-dominated",
+                rhs_witness=lambda: _wd_witness(p))
 
 
 def _e1(pair) -> Verdict:
@@ -454,10 +439,6 @@ def _hyp_no_isolated(g: Graph) -> bool:
     return not has_isolated_vertex(g)
 
 
-def _hyp_connected_order2(g: Graph) -> bool:
-    return g.n >= 2 and is_connected(g)
-
-
 def _hyp_tf_connected(g: Graph) -> bool:
     return is_connected(g) and girth(g) >= 4
 
@@ -482,21 +463,20 @@ def _hyp_pair_no_isolated(pair) -> bool:
     return not has_isolated_vertex(pair[0]) and not has_isolated_vertex(pair[1])
 
 
+# has_isolatable_vertex is imported at call time so that a patch on
+# domination (perfbench/tracer.py) reaches these calls.
 def _hyp_t3(pair) -> bool:
     from .domination import has_isolatable_vertex
 
     g, h = pair
-    if not (_nontrivial(g) and is_connected(g) and _nontrivial(h) and is_connected(h)):
-        return False
-    return not has_isolatable_vertex(g) or not has_isolatable_vertex(h)
+    return _hyp_pair_nontrivial_connected(pair) and (
+        not has_isolatable_vertex(g) or not has_isolatable_vertex(h))
 
 
 def _hyp_dk(pair) -> bool:
     from .domination import has_isolatable_vertex
 
-    g, h = pair
-    return (_nontrivial(g) and is_connected(g) and _nontrivial(h)
-            and is_connected(h) and not has_isolatable_vertex(h))
+    return _hyp_pair_nontrivial_connected(pair) and not has_isolatable_vertex(pair[1])
 
 
 def _hyp_dne(pair) -> bool:
@@ -511,11 +491,9 @@ def _hyp_dkn(pair) -> bool:
 
 def _hyp_e1(pair) -> bool:
     g, h = pair
-    if not all(_nontrivial(x) and is_connected(x) for x in pair):
-        return False
-    if is_complete(g) or is_complete(h):
-        return False
-    return is_well_dominated(disjunctive(g, h).graph)
+    return (_hyp_pair_nontrivial_connected(pair)
+            and not is_complete(g) and not is_complete(h)
+            and is_well_dominated(disjunctive(g, h).graph))
 
 
 THEOREMS: dict[str, TheoremEntry] = {
@@ -551,7 +529,7 @@ THEOREMS: dict[str, TheoremEntry] = {
                      "well-covered with alpha(G)|V(H)| = alpha(H)|V(G)|",
                      _hyp_pair_no_isolated, _tv),
         TheoremEntry("PX", 1, "gamma = n/2 exactly for the 4-cycle and coronas "
-                     "of connected graphs", _hyp_connected_order2, _px),
+                     "of connected graphs", _hyp_nontrivial_connected, _px),
         TheoremEntry("LK2", 1, "direct product with K2 well-dominated exactly "
                      "for 4-cycles and coronas of connected graphs",
                      _hyp_nontrivial_connected, _lk2),
@@ -575,7 +553,7 @@ THEOREMS: dict[str, TheoremEntry] = {
                      "factors would force alpha(G)alpha(H) = gamma_t(G) = gamma_t(H)",
                      _hyp_e1, _e1),
         TheoremEntry("TF11", 1, "the eleven connected triangle-free well-dominated "
-                     "graphs with gamma <= 3", _hyp_tf_connected, _tf11),
+                     "graphs with gamma <= 3", _hyp_tf_connected, _tf11, _tf11_tag),
         TheoremEntry("G5WD", 1, "well-dominated, girth >= 5: pendant/5-cycle class "
                      "via the 0/2/4 edge condition, else K1, C7, or P10", _hyp_g5wd, _g5wd),
     ]

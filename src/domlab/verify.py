@@ -3,11 +3,15 @@
 Instances come either from the internal enumerator (connected graphs of a
 range of orders, optionally triangle-free) or from a .g6 file.  Pair
 theorems sweep ordered pairs of two corpora under a product-order cap.
+Instances stay the corpus's ``Graph`` objects (or ``(g, h)`` tuples of
+them) all the way to the theorem check, in one process or shipped to pool
+workers by pickle; graph6 appears only in counterexample certificates.
 Sweeps can fan out over a process pool; results are merged in instance
 order, so reports are identical regardless of scheduling.  Counterexample
 certificates carry the instance in graph6, the violated clause, and witness
 sets; the report keeps at most ``cap`` certificates but always the full
-count.
+count.  A theorem with a tag hook also gets ``members`` and ``member_tags``
+(the sorted non-None tags) in ``details``.
 """
 
 from __future__ import annotations
@@ -19,10 +23,13 @@ from multiprocessing import get_context
 from pathlib import Path
 
 from .enumeration import DEFAULT_BUDGET, enumerate_connected
-from .graph6 import load_graph6_file, parse_graph6, to_graph6
+from .graph6 import load_graph6_file, parse_graph6, to_graph6  # noqa: F401
 from .graphs import MAX_ORDER, Graph, is_triangle_free
-from .classify import NOT_MEMBER, classify_small_triangle_free
-from .theorems import THEOREMS, Verdict, check_instance
+from .classify import classify_small_triangle_free  # noqa: F401
+from .theorems import THEOREMS, check_instance
+
+# parse_graph6 and classify_small_triangle_free are not called here; they
+# stay importable because perfbench/tracer.py patches them on this module.
 
 COUNTEREXAMPLE_CAP = 10
 
@@ -153,34 +160,25 @@ class VerificationReport:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-def _instances(tid: str, corpus, cache_dir):
-    entry = THEOREMS[tid]
-    if entry.arity == 1:
+def _instances(tid: str, corpus, cache_dir) -> list:
+    if THEOREMS[tid].arity == 1:
         if isinstance(corpus, PairCorpusSpec):
             raise ValueError(f"{tid} takes a single-graph corpus")
-        return [to_graph6(g) for g in corpus.graphs(cache_dir)]
+        return corpus.graphs(cache_dir)
     if not isinstance(corpus, PairCorpusSpec):
         raise ValueError(f"{tid} takes a pair corpus")
     left = corpus.left.graphs(cache_dir)
     right = corpus.right.graphs(cache_dir)
-    return [
-        (to_graph6(g), to_graph6(h))
-        for g in left
-        for h in right
-        if g.n * h.n <= corpus.product_cap
-    ]
+    return [(g, h) for g in left for h in right if g.n * h.n <= corpus.product_cap]
 
 
 def _check_task(args: tuple[str, object]) -> tuple[str, str | None, dict | None, str | None]:
-    tid, payload = args
-    if isinstance(payload, tuple):
-        instance: object = tuple(parse_graph6(p) for p in payload)
-    else:
-        instance = parse_graph6(payload)
+    tid, instance = args
     verdict = check_instance(tid, instance)
+    hook = THEOREMS[tid].tag
     tag = None
-    if tid == "TF11" and verdict.status != "hypothesis-not-met":
-        tag = classify_small_triangle_free(instance)  # type: ignore[arg-type]
+    if hook is not None and verdict.status != "hypothesis-not-met":
+        tag = hook(instance)
     return verdict.status, verdict.clause, verdict.witness, tag
 
 
@@ -197,8 +195,8 @@ def verify_corpus(
     if corpus is None:
         corpus = DEFAULT_CORPORA[tid]
     start = time.perf_counter()
-    payloads = _instances(tid, corpus, cache_dir)
-    tasks = [(tid, p) for p in payloads]
+    instances = _instances(tid, corpus, cache_dir)
+    tasks = [(tid, x) for x in instances]
     if workers > 1 and len(tasks) > 1:
         try:
             ctx = get_context("fork")  # inherits warm caches
@@ -214,7 +212,7 @@ def verify_corpus(
     certs: list[dict] = []
     cert_count = 0
     member_tags: list[str] = []
-    for payload, (status, clause, witness, tag) in zip(payloads, results):
+    for instance, (status, clause, witness, tag) in zip(instances, results):
         if status == "holds":
             holds += 1
         elif status == "hypothesis-not-met":
@@ -223,22 +221,22 @@ def verify_corpus(
             cert_count += 1
             if len(certs) < cap:
                 cert = {"clause": clause, "witness_sets": witness or {}}
-                if isinstance(payload, tuple):
-                    cert["pair"] = list(payload)
+                if isinstance(instance, tuple):
+                    cert["pair"] = [to_graph6(x) for x in instance]
                 else:
-                    cert["graph6"] = payload
+                    cert["graph6"] = to_graph6(instance)
                 certs.append(cert)
-        if tag is not None and tag != NOT_MEMBER:
+        if tag is not None:
             member_tags.append(tag)
     details: dict = {}
-    if tid == "TF11":
+    if THEOREMS[tid].tag is not None:
         details["members"] = len(member_tags)
         details["member_tags"] = sorted(member_tags)
     elapsed = (time.perf_counter() - start) * 1000.0
     return VerificationReport(
         theorem=tid,
         corpus=corpus.describe(),
-        scanned=len(payloads),
+        scanned=len(instances),
         holds=holds,
         hypothesis_not_met=hnm,
         counterexample_count=cert_count,

@@ -9,10 +9,10 @@ from domlab.products import (
     cartesian,
     direct,
     disjunctive,
-    expected_edge_count,
     product,
 )
 
+from bruteforce import expected_edge_count
 from conftest import random_graph
 
 K2 = complete_graph(2)

@@ -10,7 +10,7 @@ from domlab.domination import (
     is_maximal_independent,
 )
 from domlab.classify import universal_vertices
-from domlab.graphs import Graph, iter_bits
+from domlab.graphs import Graph, iter_bits, mask_of
 from domlab.products import disjunctive
 from domlab.theorems import THEOREMS, check_instance
 from domlab.verify import CorpusSpec, PairCorpusSpec, verify_corpus
@@ -164,3 +164,18 @@ def test_lk2_converse_on_coronas(rng):
         if g.n * 2 > 62:
             continue
         assert is_well_dominated(direct(g, K2).graph)
+
+
+def test_wd_witness_sets_are_minimal_not_minimum():
+    from domlab.domination import domination_number
+    from domlab.theorems import _wd_witness
+
+    # Not well-covered, so the certificate is two maximal independent sets;
+    # the smaller one has 6 members while gamma is 5.
+    g = Graph(9, [(0, 1), (1, 6), (2, 8), (7, 8)])
+    witness = _wd_witness(g)
+    small, large = witness["minimal_dom_small"], witness["minimal_dom_large"]
+    assert is_minimal_dominating(g, mask_of(small))
+    assert is_minimal_dominating(g, mask_of(large))
+    assert len(small) != len(large)
+    assert domination_number(g) < len(small)

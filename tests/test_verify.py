@@ -1,4 +1,6 @@
+import dataclasses
 import json
+from importlib import resources
 
 import pytest
 
@@ -12,7 +14,7 @@ from domlab.verify import (
     VerificationReport,
     verify_corpus,
 )
-from domlab.theorems import THEOREMS
+from domlab.theorems import THEOREMS, Verdict
 
 
 def test_every_theorem_has_a_default_corpus():
@@ -110,13 +112,41 @@ def test_product_cap_outside_range_rejected_at_construction():
     assert PairCorpusSpec(spec, spec, product_cap=MAX_ORDER).product_cap == MAX_ORDER
 
 
-def test_counterexample_cap_respected(tmp_path):
-    # build a corpus of graphs that all violate the TF11 hypothesis shape:
-    # feed triangles into a corpus and force cap accounting through a real
-    # counterexample-free run instead; cap semantics checked structurally.
-    report = verify_corpus("P1", CorpusSpec(1, 5), cap=2)
-    assert report.counterexamples == []
-    assert report.counterexample_count == 0
+def test_counterexample_cap_respected(monkeypatch):
+    import jsonschema
+
+    # P1 and DIND have hypotheses that always hold, so with a conclusion
+    # that always fails every instance is a counterexample.
+    def always_fails(_instance):
+        return Verdict("counterexample", "always fails", {"probe": [0]})
+
+    for tid in ("P1", "DIND"):
+        monkeypatch.setitem(THEOREMS, tid,
+                            dataclasses.replace(THEOREMS[tid], conclusion=always_fails))
+    schema = json.loads(
+        resources.files("domlab").joinpath("schemas/report-v1.json").read_text())
+    single = CorpusSpec(1, 5)
+    side = CorpusSpec(2, 3)
+    cases = {
+        "P1": (single, [{"graph6": to_graph6(g)} for g in single.graphs()]),
+        "DIND": (PairCorpusSpec(side, side, product_cap=6),
+                 [{"pair": [to_graph6(g), to_graph6(h)]}
+                  for g in side.graphs() for h in side.graphs() if g.n * h.n <= 6]),
+    }
+    cap = 2
+    for tid, (corpus, instances) in cases.items():
+        assert len(instances) > cap
+        report = verify_corpus(tid, corpus, cap=cap)
+        assert report.scanned == report.counterexample_count == len(instances)
+        assert len(report.counterexamples) == cap
+        for cert, instance in zip(report.counterexamples, instances):
+            assert cert == {"clause": "always fails", "witness_sets": {"probe": [0]},
+                            **instance}
+        payload = report.to_dict()
+        jsonschema.validate(payload, schema)
+        parallel = verify_corpus(tid, corpus, workers=2, cap=cap).to_dict()
+        payload.pop("elapsed_ms"), parallel.pop("elapsed_ms")
+        assert parallel == payload
 
 
 def test_tf11_order_cutoff_justified():
