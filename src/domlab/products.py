@@ -70,27 +70,20 @@ def product(kind: str, g: Graph, h: Graph) -> ProductGraph:
     p, q = g.n, h.n
     if p * q > MAX_ORDER:
         raise ValueError(f"product order {p * q} exceeds the cap {MAX_ORDER}")
-    n = p * q
-    adj = [0] * n
+    # Block arithmetic: ones[a] has bit c*q for each neighbor c of a, so
+    # ones[a] * row copies a factor row (< 2**q) into those blocks with no
+    # carries; every has bit c*q for each c.
+    ones = [sum(1 << c * q for c in iter_bits(row)) for row in g.adj]
+    every = sum(1 << c * q for c in range(p))
     hfull = (1 << q) - 1
-    for a in range(p):
-        grow = g.adj[a]
-        for b in range(q):
-            idx = a * q + b
-            row = 0
-            if kind == "cartesian":
-                row |= h.adj[b] << (a * q)
-                for c in iter_bits(grow):
-                    row |= 1 << (c * q + b)
-            elif kind == "direct":
-                for c in iter_bits(grow):
-                    row |= h.adj[b] << (c * q)
-            else:  # disjunctive
-                for c in range(p):
-                    block = hfull if grow >> c & 1 else h.adj[b]
-                    row |= block << (c * q)
-            adj[idx] = row
-    return ProductGraph(kind, g, h, Graph._raw(n, tuple(adj)))
+    cells = [(a, b) for a in range(p) for b in range(q)]
+    if kind == "cartesian":
+        adj = [h.adj[b] << a * q | ones[a] << b for a, b in cells]
+    elif kind == "direct":
+        adj = [ones[a] * h.adj[b] for a, b in cells]
+    else:  # disjunctive
+        adj = [ones[a] * hfull | (every ^ ones[a]) * h.adj[b] for a, b in cells]
+    return ProductGraph(kind, g, h, Graph._raw(p * q, tuple(adj)))
 
 
 def cartesian(g: Graph, h: Graph) -> ProductGraph:

@@ -10,7 +10,7 @@ import itertools
 
 import numpy as np
 
-from domlab.graphs import Graph, iter_bits
+from domlab.graphs import Graph, distance, iter_bits
 
 
 def neighborhood_closed(g: Graph, s: int) -> int:
@@ -46,13 +46,39 @@ def minimal_dominating(g: Graph, s: int) -> bool:
     return True
 
 
+def maximal_independent(g: Graph, s: int) -> bool:
+    return independent(g, s) and dominates(g, s)
+
+
+def private_neighbors(g: Graph, v: int, s: int) -> int:
+    """{u : N[u] meets s exactly in v}, one vertex at a time."""
+    out = 0
+    for u in range(g.n):
+        if neighborhood_closed(g, 1 << u) & s == 1 << v:
+            out |= 1 << u
+    return out
+
+
+def open_irredundant(g: Graph, s: int) -> bool:
+    """N(u) - N[S - u] is nonempty for every member u."""
+    return all(
+        g.adj[u] & ~neighborhood_closed(g, s & ~(1 << u)) for u in iter_bits(s)
+    )
+
+
+def two_packing(g: Graph, s: int) -> bool:
+    """Pairwise distances at least 3, by BFS distance."""
+    members = list(iter_bits(s))
+    return all(distance(g, u, v) >= 3 for u, v in itertools.combinations(members, 2))
+
+
 def all_minimal_dominating(g: Graph) -> set[int]:
     return {s for s in range(1 << g.n) if minimal_dominating(g, s)}
 
 
 def all_maximal_independent(g: Graph) -> set[int]:
     # maximal independent == independent and dominating
-    return {s for s in range(1 << g.n) if independent(g, s) and dominates(g, s)}
+    return {s for s in range(1 << g.n) if maximal_independent(g, s)}
 
 
 def profile_numbers(g: Graph) -> tuple[int, int, int, int]:
@@ -206,3 +232,23 @@ def expected_edge_count(kind: str, g: Graph, h: Graph) -> int:
     if kind == "disjunctive":
         return mg * nh * nh + mh * ng * ng - 2 * mg * mh
     raise ValueError(f"unknown product kind {kind!r}")
+
+
+def product_adjacency(kind: str, g: Graph, h: Graph) -> list[int]:
+    """Product rows built pair by pair from the edge rules of ``products``,
+    with the index map (a, b) -> a*q + b."""
+    q = h.n
+    rows = [0] * (g.n * q)
+    for a, b, c, d in itertools.product(range(g.n), range(q), range(g.n), range(q)):
+        ac, bd = g.has_edge(a, c), h.has_edge(b, d)
+        if kind == "cartesian":
+            edge = (a == c and bd) or (b == d and ac)
+        elif kind == "direct":
+            edge = ac and bd
+        elif kind == "disjunctive":
+            edge = ac or bd
+        else:
+            raise ValueError(f"unknown product kind {kind!r}")
+        if edge:
+            rows[a * q + b] |= 1 << (c * q + d)
+    return rows

@@ -1,18 +1,23 @@
-"""Property tests: the domination branching kernel against the subset oracle
-on random graphs of order <= 10."""
+"""Property tests: the domination branching kernel and the vertex-set
+predicates against the oracles of ``bruteforce`` on random graphs of order
+<= 10."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from domlab.domination import (
     domination_number,
+    is_maximal_independent,
     is_minimal_dominating,
+    is_open_irredundant,
+    is_two_packing,
     minimal_dominating_sets,
     minimum_dominating_sets,
+    private_neighbors,
     total_domination_numbers,
     well_dominated_certificate,
 )
-from domlab.graphs import Graph, set_of
+from domlab.graphs import Graph, iter_bits, set_of
 
 import bruteforce
 
@@ -32,6 +37,24 @@ def isolate_free_graphs(draw):
     g = draw(graphs(min_order=2))
     extra = [(v, (v + 1) % g.n) for v in range(g.n) if not g.adj[v]]
     return Graph(g.n, list(g.edges()) + extra)
+
+
+@st.composite
+def graphs_with_sets(draw):
+    g = draw(graphs())
+    return g, draw(st.integers(0, g.full_mask))
+
+
+@PROPERTY
+@given(graphs_with_sets())
+def test_vertex_set_predicates_match_oracle(gs):
+    g, s = gs
+    assert is_minimal_dominating(g, s) == bruteforce.minimal_dominating(g, s)
+    assert is_maximal_independent(g, s) == bruteforce.maximal_independent(g, s)
+    assert is_open_irredundant(g, s) == bruteforce.open_irredundant(g, s)
+    assert is_two_packing(g, s) == bruteforce.two_packing(g, s)
+    for v in iter_bits(s):
+        assert private_neighbors(g, v, s) == bruteforce.private_neighbors(g, v, s)
 
 
 @PROPERTY

@@ -12,7 +12,7 @@ from domlab.products import (
     product,
 )
 
-from bruteforce import expected_edge_count
+from bruteforce import expected_edge_count, product_adjacency
 from conftest import random_graph
 
 K2 = complete_graph(2)
@@ -96,6 +96,18 @@ def test_edge_count_formulas_200_random_pairs(rng):
         for kind in PRODUCT_KINDS:
             p = product(kind, g, h)
             assert p.graph.edge_count == expected_edge_count(kind, g, h), kind
+
+
+def test_product_rows_match_edge_rules_200_random_pairs(rng):
+    # Factor densities cycle through edgeless, complete and random, so all
+    # nine combinations occur; orders 1..7 keep every product within 62.
+    def factor(k):
+        return random_graph(rng, rng.randint(1, 7), (0.0, 1.0, rng.random())[k % 3])
+
+    for k in range(200):
+        g, h = factor(k), factor(k // 3)
+        for kind in PRODUCT_KINDS:
+            assert list(product(kind, g, h).graph.adj) == product_adjacency(kind, g, h), kind
 
 
 def test_commutativity_up_to_isomorphism(rng):
