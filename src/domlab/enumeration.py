@@ -1,11 +1,15 @@
 """Exhaustive small-graph corpora: one canonical representative per
 isomorphism class.
 
-Generation is orderly edge augmentation: level k holds the canonical forms of
-all k-edge graphs on n vertices, produced by adding one edge to every level
-k-1 graph and deduplicating by canonical form.  Triangle-free corpora refuse
-edge additions that would close a triangle, which is sound because removing
-an edge never creates one.  Connectivity is filtered at the end.
+Order n is built from order n-1 by vertex extension: each representative g
+of order n-1 gets a new vertex joined to each vertex set S that leaves the
+new vertex with minimum degree, and the children are deduplicated by
+canonical form, one edge count at a time.  No class is missed: deleting a
+minimum-degree vertex v from any graph G leaves a graph isomorphic to some
+representative g, and G is g plus a vertex joined to the image of N(v), a
+vertex of minimum degree.  Triangle-free corpora join only independent sets
+S, which is sound because G - v is triangle-free when G is.  Connectivity is
+filtered at the end.
 
 Computed corpora are cached in-process; a cache directory can also be used,
 with the file layout ``connected-n{N}.g6`` / ``connected-n{N}-trianglefree.g6``
@@ -14,11 +18,12 @@ with the file layout ``connected-n{N}.g6`` / ``connected-n{N}-trianglefree.g6``
 
 from __future__ import annotations
 
+from itertools import combinations
 from pathlib import Path
 from typing import Callable, Iterator
 
 from .graph6 import load_graph6_file, save_graph6_file, to_graph6
-from .graphs import Graph, is_connected
+from .graphs import Graph, is_connected, iter_bits, mask_of
 from .isomorphism import canonical_graph
 
 DEFAULT_BUDGET = 9
@@ -33,22 +38,25 @@ def all_graphs(n: int, triangle_free: bool = False) -> list[Graph]:
     key = (n, triangle_free)
     if key in _all_cache:
         return _all_cache[key]
-    level = {to_graph6(Graph(n)): Graph(n)}
-    out = list(level.values())
-    while level:
-        nxt: dict[str, Graph] = {}
-        for g in level.values():
-            for u in range(n):
-                row = g.adj[u]
-                for v in range(u + 1, n):
-                    if row >> v & 1:
-                        continue
-                    if triangle_free and g.adj[u] & g.adj[v]:
-                        continue
-                    h = canonical_graph(g.with_edge(u, v))
-                    nxt.setdefault(to_graph6(h), h)
-        out.extend(nxt[k] for k in sorted(nxt))
-        level = nxt
+    if n == 1:
+        out = [Graph(1)]
+    else:
+        by_edges: dict[int, list[Graph]] = {}
+        for g in all_graphs(n - 1, triangle_free):
+            by_edges.setdefault(g.edge_count, []).append(g)
+        bit = 1 << (n - 1)
+        out = []
+        for m in range(n * (n - 1) // 2 + 1):
+            level: set[Graph] = set()
+            for k in range(min(m, n - 1) + 1):
+                for g in by_edges.get(m - k, ()):
+                    for s in map(mask_of, combinations(range(n - 1), k)):
+                        if triangle_free and any(g.adj[v] & s for v in iter_bits(s)):
+                            continue
+                        adj = [row | bit if s >> v & 1 else row for v, row in enumerate(g.adj)]
+                        if min(map(int.bit_count, adj)) >= k:
+                            level.add(canonical_graph(Graph._raw(n, (*adj, s))))
+            out.extend(sorted(level, key=to_graph6))
     _all_cache[key] = out
     return out
 
@@ -90,21 +98,10 @@ def _cache_path(cache_dir: str | Path, n: int, triangle_free: bool) -> Path:
 def _load_or_build_connected(
     n: int, triangle_free: bool, cache_dir: str | Path | None
 ) -> list[Graph]:
-    key = (n, triangle_free)
-    if key in _connected_cache:
-        graphs = _connected_cache[key]
-        if cache_dir is not None:
-            path = _cache_path(cache_dir, n, triangle_free)
-            if not path.exists():
-                save_graph6_file(path, graphs)
-        return graphs
-    if cache_dir is not None:
-        path = _cache_path(cache_dir, n, triangle_free)
-        if path.exists():
-            graphs = load_graph6_file(path)
-            _connected_cache[key] = graphs
-            return graphs
+    path = None if cache_dir is None else _cache_path(cache_dir, n, triangle_free)
+    if path is not None and path.exists() and (n, triangle_free) not in _connected_cache:
+        _connected_cache[n, triangle_free] = load_graph6_file(path)
     graphs = connected_graphs(n, triangle_free)
-    if cache_dir is not None:
-        save_graph6_file(_cache_path(cache_dir, n, triangle_free), graphs)
+    if path is not None and not path.exists():
+        save_graph6_file(path, graphs)
     return graphs

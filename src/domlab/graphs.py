@@ -42,8 +42,8 @@ class Graph:
     """A finite simple undirected graph on vertices ``0..n-1``.
 
     Instances are immutable after construction, so any number of concurrent
-    readers is safe.  Mutating helpers such as :meth:`with_edge` return new
-    graphs.
+    readers is safe; they compare and hash by value, so they can key sets and
+    dicts.  Derived graphs such as :meth:`relabeled` are new instances.
     """
 
     __slots__ = ("n", "adj")
@@ -117,15 +117,6 @@ class Graph:
         return tuple(sorted((row.bit_count() for row in self.adj), reverse=True))
 
     # -- derived graphs --------------------------------------------------
-
-    def with_edge(self, u: int, v: int) -> "Graph":
-        """Copy of this graph with the edge ``uv`` added."""
-        if u == v:
-            raise ValueError(f"loop at vertex {u} is not allowed")
-        adj = list(self.adj)
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-        return Graph._raw(self.n, tuple(adj))
 
     def induced(self, mask: int) -> tuple["Graph", tuple[int, ...]]:
         """Induced subgraph on ``mask``.

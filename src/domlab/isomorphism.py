@@ -75,14 +75,9 @@ def _orbit_reaches(start: int, targets: list[int], gens: list[tuple[int, ...]]) 
     return False
 
 
-def canonical_labeling(g: Graph) -> tuple[list[int], list[tuple[int, ...]]]:
-    """Canonical labeling of ``g``.
-
-    Returns ``(lab, gens)`` where ``lab[i]`` is the original vertex placed at
-    position ``i`` of the canonical form, and ``gens`` is a list of
-    automorphisms (as permutation tuples) discovered along the way.  The
-    generators need not generate the full automorphism group.
-    """
+def canonical_labeling(g: Graph) -> list[int]:
+    """Canonical labeling of ``g``: ``lab[i]`` is the original vertex placed
+    at position ``i`` of the canonical form."""
     n, adj = g.n, g.adj
     bydeg: dict[int, int] = {}
     for v in range(n):
@@ -123,9 +118,14 @@ def canonical_labeling(g: Graph) -> tuple[list[int], list[tuple[int, ...]]]:
         prefix = cells[:target]
         suffix = cells[target + 1:]
         tried: list[int] = []
+        # Automorphisms that fix the individualized prefix; gens only grows,
+        # so each sibling filters just the generators found since the last.
+        usable: list[tuple[int, ...]] = []
+        filtered = 0
         for u in iter_bits(cell):
             if tried:
-                usable = [p for p in gens if all(p[f] == f for f in fixed)]
+                usable.extend(p for p in gens[filtered:] if all(p[f] == f for f in fixed))
+                filtered = len(gens)
                 if usable and _orbit_reaches(u, tried, usable):
                     continue
             search(prefix + [1 << u, cell ^ (1 << u)] + suffix, fixed + (u,))
@@ -133,12 +133,12 @@ def canonical_labeling(g: Graph) -> tuple[list[int], list[tuple[int, ...]]]:
 
     search(cells, ())
     assert best_lab is not None
-    return best_lab, gens
+    return best_lab
 
 
 def canonical_graph(g: Graph) -> Graph:
     """The canonically labeled copy of ``g``."""
-    lab, _ = canonical_labeling(g)
+    lab = canonical_labeling(g)
     perm = [0] * g.n
     for i, v in enumerate(lab):
         perm[v] = i

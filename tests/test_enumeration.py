@@ -1,25 +1,48 @@
+import hashlib
+
 import pytest
 
+from domlab import enumeration
 from domlab.enumeration import (
     all_graphs,
     connected_graphs,
     enumerate_connected,
 )
-from domlab.graph6 import to_graph6
-from domlab.graphs import is_connected, is_triangle_free
+from domlab.graph6 import load_graph6_file, save_graph6_file, to_graph6
+from domlab.graphs import Graph, is_connected, is_triangle_free
 from domlab.isomorphism import canonical_key
 
 import bruteforce
 
-KNOWN_ALL = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
-KNOWN_CONNECTED = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
+# OEIS A000088, A001349 and A024607 (connected triangle-free graphs).
+KNOWN_ALL = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
+KNOWN_CONNECTED = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
+KNOWN_TRIANGLE_FREE_CONNECTED = {
+    1: 1, 2: 1, 3: 1, 4: 3, 5: 6, 6: 19, 7: 59, 8: 267, 9: 1380,
+}
+
+# sha256 of the graph6 lines of connected_graphs(n) for n = 1..8, then of
+# connected_graphs(n, triangle_free=True) for n = 1..9, joined by newlines.
+# It pins which representative stands for each class and the order they come
+# in (edge count, then graph6), which cache files and reports depend on.
+CENSUS_SHA256 = "8b35f5b73059a4337ea5a51f7587454a4a5ea8f3ca44f98ef094f0f436fb5542"
 
 
-def test_connected_counts_up_to_7():
+def test_census_counts_up_to_8():
     for n, want in KNOWN_CONNECTED.items():
         assert len(connected_graphs(n)) == want
     for n, want in KNOWN_ALL.items():
         assert len(all_graphs(n)) == want
+    for n, want in KNOWN_TRIANGLE_FREE_CONNECTED.items():
+        assert len(connected_graphs(n, triangle_free=True)) == want
+
+
+def test_census_representatives_and_order_are_pinned():
+    lines = [to_graph6(g) for n in range(1, 9) for g in connected_graphs(n)]
+    lines += [
+        to_graph6(g) for n in range(1, 10) for g in connected_graphs(n, triangle_free=True)
+    ]
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == CENSUS_SHA256
 
 
 def test_counts_match_bruteforce_census():
@@ -42,7 +65,6 @@ def test_triangle_free_generation_matches_filtering():
 def test_census_matches_networkx_atlas():
     # third independent source: the atlas of all graphs on up to 7 vertices
     nx = pytest.importorskip("networkx")
-    from domlab.graphs import Graph
 
     by_order: dict[int, set[str]] = {n: set() for n in range(1, 8)}
     for ag in nx.graph_atlas_g()[1:]:  # skip the order-0 entry
@@ -105,6 +127,40 @@ def test_cache_dir_roundtrip(tmp_path):
     built = list(enumerate_connected(5, cache_dir=tmp_path))
     assert (tmp_path / "connected-n5.g6").exists()
     # a fresh process would reload from the file; simulate by reading directly
-    from domlab.graph6 import load_graph6_file
-
     assert load_graph6_file(tmp_path / "connected-n5.g6") == built
+
+
+STAR5 = Graph(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
+
+
+@pytest.fixture
+def empty_caches(monkeypatch):
+    monkeypatch.setattr(enumeration, "_all_cache", {})
+    monkeypatch.setattr(enumeration, "_connected_cache", {})
+
+
+def test_cache_file_is_read_not_rebuilt(tmp_path, empty_caches):
+    # valid, but not the census: two of the 21 classes, in reverse order
+    # and with the star not in canonical form, so only a read returns this
+    planted = [Graph(5, [(u, v) for v in range(5) for u in range(v)]), STAR5]
+    path = tmp_path / "connected-n5.g6"
+    save_graph6_file(path, planted)
+    before = path.read_bytes()
+    assert list(enumerate_connected(5, cache_dir=tmp_path)) == planted
+    assert path.read_bytes() == before
+    assert enumeration._all_cache == {}
+
+
+def test_order_cached_in_memory_gets_its_file(tmp_path, empty_caches):
+    graphs = [STAR5]
+    enumeration._connected_cache[5, False] = graphs
+    assert list(enumerate_connected(5, cache_dir=tmp_path)) == graphs
+    assert load_graph6_file(tmp_path / "connected-n5.g6") == graphs
+    assert enumeration._all_cache == {}
+
+
+def test_uncached_order_is_built_and_written(tmp_path, empty_caches):
+    built = list(enumerate_connected(5, triangle_free=True, cache_dir=tmp_path))
+    assert len(built) == KNOWN_TRIANGLE_FREE_CONNECTED[5]
+    assert load_graph6_file(tmp_path / "connected-n5-trianglefree.g6") == built
+    assert not (tmp_path / "connected-n5.g6").exists()
