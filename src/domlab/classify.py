@@ -17,7 +17,8 @@ from functools import lru_cache
 
 from .catalog import triangle_free_well_dominated_catalog
 from .graphs import Graph, iter_bits, mask_of, set_of
-from .isomorphism import canonical_key
+# canonical_key is not called here; perfbench/tracer.py patches it on this module.
+from .isomorphism import canonical_graph, canonical_key  # noqa: F401
 
 
 def universal_vertices(g: Graph) -> int:
@@ -226,9 +227,9 @@ def all_basic_cycle_pairs_ok(g: Graph) -> bool:
 
 
 @lru_cache(maxsize=1)
-def _family_keys() -> dict[str, str]:
+def _family_keys() -> dict[Graph, str]:
     return {
-        canonical_key(graph): tag
+        canonical_graph(graph): tag
         for tag, graph in triangle_free_well_dominated_catalog().items()
     }
 
@@ -243,4 +244,4 @@ def classify_small_triangle_free(g: Graph) -> str:
     or ``"not-member"``."""
     if g.n > 7:
         return NOT_MEMBER
-    return _family_keys().get(canonical_key(g), NOT_MEMBER)
+    return _family_keys().get(canonical_graph(g), NOT_MEMBER)

@@ -10,7 +10,7 @@ optional ``>>graph6<<`` header is tolerated.
 from __future__ import annotations
 
 import os
-import tempfile
+import uuid
 from pathlib import Path
 from typing import Iterable
 
@@ -94,10 +94,12 @@ def load_graph6_file(path: str | Path) -> list[Graph]:
 
 
 def save_graph6_file(path: str | Path, graphs: Iterable[Graph]) -> None:
-    """Write graphs to a .g6 file atomically (write temp, then rename)."""
+    """Write graphs to a .g6 file atomically (write temp, then rename), with
+    the mode ``open`` would give it under the umask (not mkstemp's 0600)."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="ascii") as fh:
             for g in graphs:

@@ -75,9 +75,10 @@ def _orbit_reaches(start: int, targets: list[int], gens: list[tuple[int, ...]]) 
     return False
 
 
-def canonical_labeling(g: Graph) -> list[int]:
-    """Canonical labeling of ``g``: ``lab[i]`` is the original vertex placed
-    at position ``i`` of the canonical form."""
+def canonical_labeling(g: Graph) -> tuple[list[int], list[tuple[int, ...]]]:
+    """Canonical labeling of ``g`` and automorphisms of ``g`` found on the
+    way: ``lab[i]`` is the original vertex placed at position ``i`` of the
+    canonical form, and each generator maps vertex ``v`` to ``p[v]``."""
     n, adj = g.n, g.adj
     bydeg: dict[int, int] = {}
     for v in range(n):
@@ -133,12 +134,12 @@ def canonical_labeling(g: Graph) -> list[int]:
 
     search(cells, ())
     assert best_lab is not None
-    return best_lab
+    return best_lab, gens
 
 
 def canonical_graph(g: Graph) -> Graph:
     """The canonically labeled copy of ``g``."""
-    lab = canonical_labeling(g)
+    lab = canonical_labeling(g)[0]
     perm = [0] * g.n
     for i, v in enumerate(lab):
         perm[v] = i

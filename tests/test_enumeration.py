@@ -168,3 +168,21 @@ def test_uncached_order_is_built_and_written(tmp_path, empty_caches):
     assert len(built) == KNOWN_TRIANGLE_FREE_CONNECTED[5]
     assert load_graph6_file(tmp_path / "connected-n5-trianglefree.g6") == built
     assert not (tmp_path / "connected-n5.g6").exists()
+
+
+def test_order_7_labels_each_class_about_once(empty_caches, monkeypatch):
+    # Orbit pruning and the canonical-deletion filter leave about one
+    # labeling per class: 1,252 classes of order <= 7, 3,131 labelings
+    # when every child was labeled.
+    calls = []
+    label = enumeration.canonical_graph
+
+    def counting(g):
+        calls.append(g)
+        return label(g)
+
+    monkeypatch.setattr(enumeration, "canonical_graph", counting)
+    assert len(all_graphs(7)) == KNOWN_ALL[7]
+    classes = sum(len(graphs) for graphs in enumeration._all_cache.values())
+    assert classes == sum(KNOWN_ALL[n] for n in range(1, 8))
+    assert len(calls) <= 1400

@@ -1,4 +1,6 @@
+import os
 import random
+import stat
 
 import pytest
 
@@ -85,3 +87,14 @@ def test_file_roundtrip(tmp_path):
     path2 = tmp_path / "with_header.g6"
     path2.write_text(">>graph6<<\n" + to_graph6(complete_graph(2)) + "\n")
     assert load_graph6_file(path2) == [complete_graph(2)]
+
+
+def test_saved_file_mode_follows_umask(tmp_path):
+    # a cache directory may be shared, so files must not come out 0600
+    old = os.umask(0o022)
+    try:
+        save_graph6_file(tmp_path / "k2.g6", [complete_graph(2)])
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE((tmp_path / "k2.g6").stat().st_mode) == 0o644
+    assert os.listdir(tmp_path) == ["k2.g6"]

@@ -1,4 +1,5 @@
 import math
+from itertools import permutations
 
 import pytest
 
@@ -9,7 +10,7 @@ from domlab.catalog import (
     path_graph,
     special_graph,
 )
-from domlab.enumeration import connected_graphs
+from domlab.enumeration import all_graphs, connected_graphs
 from domlab.graphs import (
     Graph,
     closed_neighborhood,
@@ -22,7 +23,12 @@ from domlab.graphs import (
     open_neighborhood,
     set_of,
 )
-from domlab.isomorphism import are_isomorphic, canonical_graph, canonical_key
+from domlab.isomorphism import (
+    are_isomorphic,
+    canonical_graph,
+    canonical_key,
+    canonical_labeling,
+)
 from domlab.products import cartesian, direct
 
 import bruteforce
@@ -135,6 +141,28 @@ def test_canonical_separates_classes():
     for n, expected in [(1, 1), (2, 2), (3, 4), (4, 11), (5, 34)]:
         keys = {canonical_key(g) for g in bruteforce.labeled_graphs(n)}
         assert len(keys) == expected
+
+
+def test_automorphism_generators_generate_the_whole_group(rng):
+    # The enumerator prunes joined vertex sets by the orbits of these
+    # generators, so they must be automorphisms and generate all of Aut(h).
+    for n in range(1, 7):
+        for g in all_graphs(n):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            h = g.relabeled(perm)
+            gens = canonical_labeling(h)[1]
+            assert all(h.relabeled(p) == h for p in gens)
+            group = {tuple(range(n))}
+            stack = list(group)
+            while stack:
+                a = stack.pop()
+                for p in gens:
+                    b = tuple(p[v] for v in a)
+                    if b not in group:
+                        group.add(b)
+                        stack.append(b)
+            assert len(group) == sum(h.relabeled(p) == h for p in permutations(range(n)))
 
 
 def test_induced_and_relabel():
