@@ -13,7 +13,15 @@ nodes that cannot reach a cover within it: gamma is the last set of a
 stream whose bound drops below each set found, and the minimum dominating
 sets are the stream bounded by gamma.  The public generators re-yield the
 sets in lexicographic order for reproducible reports.  Maximal independent
-sets come from a separate Bron--Kerbosch search with pivoting.
+sets come from a separate Bron--Kerbosch search with pivoting (CACM 16,
+1973), also on an explicit stack.
+
+The certificates name two sets of different sizes and come from the
+searches; the verdicts ``is_well_covered`` and ``is_well_dominated`` first
+build two greedy maximal independent sets, in ascending and in descending
+degree order.  Two sizes prove the graph is not well-covered, so not
+well-dominated either, since well-dominated graphs are well-covered
+(Finbow, Hartnell and Nowakowski, Ars Combin. 25A, 1988).
 
 The vertex-set predicates (minimal domination, maximal independence,
 private neighbors, open irredundance, 2-packing) share the kernel's
@@ -144,26 +152,29 @@ def minimal_dominating_sets(g: Graph) -> Iterator[int]:
 
 
 def _iter_maximal_independent(g: Graph) -> Iterator[int]:
-    """Maximal independent sets in pivoted search order (deterministic)."""
-    n, full = g.n, g.full_mask
-    nadj = [~(g.adj[v] | 1 << v) & full for v in range(n)]
-
-    def bk(r: int, p: int, x: int) -> Iterator[int]:
-        if not p and not x:
-            yield r
-            return
-        px = p | x
+    """Maximal independent sets in pivoted search order (deterministic).
+    Stack entries are (set, candidates, excluded); each child excludes the
+    candidates tried before it."""
+    full = g.full_mask
+    nadj = [~(row | 1 << v) & full for v, row in enumerate(g.adj)]
+    stack = [(0, full, 0)]
+    while stack:
+        r, p, x = stack.pop()
+        if not p:
+            if not x:
+                yield r
+            continue
         pivot, best = -1, -1
-        for v in iter_bits(px):
+        for v in iter_bits(p | x):
             c = (nadj[v] & p).bit_count()
             if c > best:
                 best, pivot = c, v
+        children = []
         for v in iter_bits(p & ~nadj[pivot]):
-            yield from bk(r | 1 << v, p & nadj[v], x & nadj[v])
+            children.append((r | 1 << v, p & nadj[v], x & nadj[v]))
             p ^= 1 << v
             x |= 1 << v
-
-    yield from bk(0, full, 0)
+        stack.extend(reversed(children))
 
 
 def maximal_independent_sets(g: Graph) -> Iterator[int]:
@@ -260,10 +271,16 @@ def well_covered_certificate(g: Graph) -> tuple[int, int] | None:
 
 
 def is_well_covered(g: Graph) -> bool:
+    """Greedy maximal independent sets in ascending and in descending degree
+    order; two sizes settle the verdict without a search."""
+    adj = g.adj
+    order = sorted(range(g.n), key=[row.bit_count() for row in adj].__getitem__)
+    first = _greedy_independent(adj, order)
+    if first.bit_count() != _greedy_independent(adj, reversed(order)).bit_count():
+        return False
     return well_covered_certificate(g) is None
 
 
-@lru_cache(maxsize=None)
 def well_dominated_certificate(g: Graph) -> tuple[int, int] | None:
     """None when well-dominated, else two minimal dominating sets of
     different sizes (smaller first).
@@ -288,8 +305,9 @@ def well_dominated_certificate(g: Graph) -> tuple[int, int] | None:
     return None
 
 
+@lru_cache(maxsize=None)
 def is_well_dominated(g: Graph) -> bool:
-    return well_dominated_certificate(g) is None
+    return is_well_covered(g) and well_dominated_certificate(g) is None
 
 
 # -- total domination ----------------------------------------------------------
@@ -342,14 +360,17 @@ def greedy_minimal_dominating(g: Graph, ordering) -> int:
     return d
 
 
-def greedy_maximal_independent(g: Graph, ordering) -> int:
-    """Scan the ordering, adding each vertex with no chosen neighbor."""
-    order = _check_ordering(g, ordering)
+def _greedy_independent(adj: Sequence[int], order) -> int:
     s = 0
     for v in order:
-        if not g.adj[v] & s:
+        if not adj[v] & s:
             s |= 1 << v
     return s
+
+
+def greedy_maximal_independent(g: Graph, ordering) -> int:
+    """Scan the ordering, adding each vertex with no chosen neighbor."""
+    return _greedy_independent(g.adj, _check_ordering(g, ordering))
 
 
 # -- open irredundance ------------------------------------------------------------

@@ -143,7 +143,13 @@ def canonical_graph(g: Graph) -> Graph:
     perm = [0] * g.n
     for i, v in enumerate(lab):
         perm[v] = i
-    return g.relabeled(perm)
+    rows = []
+    for v in lab:
+        row = 0
+        for u in iter_bits(g.adj[v]):
+            row |= 1 << perm[u]
+        rows.append(row)
+    return Graph._raw(g.n, tuple(rows))
 
 
 def canonical_key(g: Graph) -> str:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import MAX_ORDER, Graph, iter_bits
+from .graphs import MAX_ORDER, Graph
 
 PRODUCT_KINDS = ("cartesian", "direct", "disjunctive")
 
@@ -73,16 +73,23 @@ def product(kind: str, g: Graph, h: Graph) -> ProductGraph:
     # Block arithmetic: ones[a] has bit c*q for each neighbor c of a, so
     # ones[a] * row copies a factor row (< 2**q) into those blocks with no
     # carries; every has bit c*q for each c.
-    ones = [sum(1 << c * q for c in iter_bits(row)) for row in g.adj]
-    every = sum(1 << c * q for c in range(p))
+    ones = []
+    for row in g.adj:
+        block = 0
+        while row:
+            low = row & -row
+            block |= 1 << (low.bit_length() - 1) * q
+            row ^= low
+        ones.append(block)
     hfull = (1 << q) - 1
-    cells = [(a, b) for a in range(p) for b in range(q)]
+    every = ((1 << p * q) - 1) // hfull
     if kind == "cartesian":
-        adj = [h.adj[b] << a * q | ones[a] << b for a, b in cells]
+        adj = [hrow << a * q | one << b
+               for a, one in enumerate(ones) for b, hrow in enumerate(h.adj)]
     elif kind == "direct":
-        adj = [ones[a] * h.adj[b] for a, b in cells]
+        adj = [one * hrow for one in ones for hrow in h.adj]
     else:  # disjunctive
-        adj = [ones[a] * hfull | (every ^ ones[a]) * h.adj[b] for a, b in cells]
+        adj = [one * hfull | (every ^ one) * hrow for one in ones for hrow in h.adj]
     return ProductGraph(kind, g, h, Graph._raw(p * q, tuple(adj)))
 
 

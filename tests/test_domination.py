@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from domlab.catalog import (
@@ -30,6 +32,7 @@ from domlab.domination import (
 )
 from domlab.enumeration import all_graphs, connected_graphs
 from domlab.graphs import Graph, iter_bits, mask_of, set_of
+from domlab.products import PRODUCT_KINDS, product
 
 import bruteforce
 from conftest import random_connected_graph, random_graph
@@ -38,6 +41,7 @@ P4 = path_graph(4)
 C4 = cycle_graph(4)
 C5 = cycle_graph(5)
 C7 = cycle_graph(7)
+K2 = complete_graph(2)
 K3 = complete_graph(3)
 
 
@@ -103,6 +107,22 @@ def test_streams_match_bruteforce_and_lex_order():
             # every maximal independent set is a minimal dominating set
             for s in mis:
                 assert is_minimal_dominating(g, s)
+
+
+def test_maximal_independent_stream_order_is_pinned():
+    # The raw Bron--Kerbosch order, not only its set: the L2P and DIND
+    # witnesses and the benchmark's traced count of yielded sets follow it.
+    # The digest covers every graph of order <= 7 and the three products of
+    # each order-3 graph with K2 and with K3, one line of masks per graph.
+    graphs = [g for n in range(1, 8) for g in all_graphs(n)]
+    graphs += [product(kind, g, h).graph
+               for kind in PRODUCT_KINDS for g in all_graphs(3) for h in (K2, K3)]
+    digest = hashlib.sha256()
+    for g in graphs:
+        digest.update((",".join(map(str, _iter_maximal_independent(g))) + "\n").encode())
+    assert len(graphs) == 1276
+    assert digest.hexdigest() == (
+        "caf4905db1593c6887a6515dc10f4886d0aae873fb585840d9c2361b5df99cfb")
 
 
 def test_solvers_match_oracle_small_random(rng):

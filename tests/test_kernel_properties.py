@@ -1,20 +1,24 @@
-"""Property tests: the domination branching kernel and the vertex-set
-predicates against the oracles of ``bruteforce`` on random graphs of order
-<= 10."""
+"""Property tests: the domination branching kernel, the vertex-set
+predicates and the well-covered and well-dominated verdicts against the
+oracles of ``bruteforce`` on random graphs of order <= 10."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from domlab import domination
 from domlab.domination import (
     domination_number,
     is_maximal_independent,
     is_minimal_dominating,
     is_open_irredundant,
     is_two_packing,
+    is_well_covered,
+    is_well_dominated,
     minimal_dominating_sets,
     minimum_dominating_sets,
     private_neighbors,
     total_domination_numbers,
+    well_covered_certificate,
     well_dominated_certificate,
 )
 from domlab.graphs import Graph, iter_bits, set_of
@@ -82,3 +86,20 @@ def test_well_dominated_certificate_matches_oracle(g):
         small, large = cert
         assert is_minimal_dominating(g, small) and is_minimal_dominating(g, large)
         assert domination_number(g) == min(sizes) <= small.bit_count() < large.bit_count()
+
+
+@PROPERTY
+@given(graphs())
+def test_verdicts_match_certificates_and_oracle(g):
+    gamma, upper, ind, alpha = bruteforce.profile_numbers(g)
+    assert is_well_covered(g) == (well_covered_certificate(g) is None) == (ind == alpha)
+    assert is_well_dominated(g) == (well_dominated_certificate(g) is None) == (gamma == upper)
+
+
+def test_greedy_pair_settles_the_star_without_a_search(monkeypatch):
+    # K1,3: the leaves first give {1, 2, 3}, the center first gives {0}.
+    def search(g):
+        raise AssertionError("the greedy pair should have decided")
+
+    monkeypatch.setattr(domination, "well_covered_certificate", search)
+    assert not is_well_covered(Graph(4, [(0, 1), (0, 2), (0, 3)]))
