@@ -273,10 +273,9 @@ def well_covered_certificate(g: Graph) -> tuple[int, int] | None:
 def is_well_covered(g: Graph) -> bool:
     """Greedy maximal independent sets in ascending and in descending degree
     order; two sizes settle the verdict without a search."""
-    adj = g.adj
-    order = sorted(range(g.n), key=[row.bit_count() for row in adj].__getitem__)
-    first = _greedy_independent(adj, order)
-    if first.bit_count() != _greedy_independent(adj, reversed(order)).bit_count():
+    order = sorted(range(g.n), key=g.degree)
+    first = _greedy_independent(g.adj, order)
+    if first.bit_count() != _greedy_independent(g.adj, reversed(order)).bit_count():
         return False
     return well_covered_certificate(g) is None
 
