@@ -21,6 +21,7 @@ from domlab.domination import (
     is_minimal_dominating,
     is_open_irredundant,
     is_two_packing,
+    is_well_covered,
     is_well_dominated,
     isolatable_vertices,
     maximal_independent_sets,
@@ -136,6 +137,25 @@ def test_solvers_match_oracle_small_random(rng):
         assert is_dominating(g, prof.witness_min_dom)
         assert prof.witness_min_dom.bit_count() == gamma
         assert prof.witness_max_ind.bit_count() == alpha
+
+
+def test_product_verdicts_match_oracle():
+    # The pair sweeps settle most T1 and UB3 instances without deciding the
+    # product, so the deciders are checked on products here directly.
+    factors = [g for n in range(2, 6) for g in connected_graphs(n)]
+    checked = 0
+    for kind in PRODUCT_KINDS:
+        for g in factors:
+            for h in factors:
+                if g.n * h.n > 10:
+                    continue
+                p = product(kind, g, h).graph
+                gamma, upper, ind, alpha = bruteforce.profile_numbers(p)
+                assert domination_number(p) == gamma, (kind, g, h)
+                assert is_well_dominated(p) == (gamma == upper), (kind, g, h)
+                assert is_well_covered(p) == (ind == alpha), (kind, g, h)
+                checked += 1
+    assert checked == 189
 
 
 def test_total_domination_examples_and_oracle(rng):

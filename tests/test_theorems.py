@@ -11,9 +11,10 @@ from domlab.domination import (
 )
 from domlab.classify import universal_vertices
 from domlab.graphs import Graph, iter_bits, mask_of
-from domlab.products import disjunctive
-from domlab.theorems import THEOREMS, check_instance
-from domlab.verify import CorpusSpec, PairCorpusSpec, verify_corpus
+from domlab import theorems
+from domlab.products import direct, disjunctive
+from domlab.theorems import THEOREMS, Verdict, check_instance
+from domlab.verify import DEFAULT_CORPORA, CorpusSpec, PairCorpusSpec, _instances, verify_corpus
 
 from conftest import random_connected_graph
 
@@ -179,3 +180,125 @@ def test_wd_witness_sets_are_minimal_not_minimum():
     assert is_minimal_dominating(g, mask_of(large))
     assert len(small) != len(large)
     assert domination_number(g) < len(small)
+
+
+# -- factor-first conclusions against the product-first formulas ---------------
+
+
+def _product_first_t1(g, h):
+    t = theorems
+    p = t.cartesian(g, h).graph
+    if t.is_well_dominated(p) and not (t.is_well_dominated(g) or t.is_well_dominated(h)):
+        wg = t.well_dominated_certificate(g)
+        wh = t.well_dominated_certificate(h)
+        return t._fail("product well-dominated but neither factor is",
+                       g_small=wg[0], g_large=wg[1], h_small=wh[0], h_large=wh[1])
+    return t.HOLDS
+
+
+def _product_first_wcfactor(g, h):
+    t = theorems
+    p = t.cartesian(g, h).graph
+    if t.is_well_covered(p) and not (t.is_well_covered(g) or t.is_well_covered(h)):
+        return t._fail("product well-covered but neither factor is")
+    return t.HOLDS
+
+
+def _product_first_g4cart(g, h):
+    t = theorems
+    p = t.cartesian(g, h).graph
+    if t.is_well_covered(p) and not (t.are_isomorphic(g, K2) or t.are_isomorphic(h, K2)):
+        return t._fail("triangle-free product well-covered with no K2 factor")
+    return t.HOLDS
+
+
+def _product_first_dk(g, h):
+    t = theorems
+    p = t.direct(g, h).graph
+    if t.is_well_covered(p) and not t.is_complete(h):
+        return t._fail("well-covered direct product whose isolatable-free factor "
+                       "is not complete")
+    return t.HOLDS
+
+
+def _product_first_l3g(g, h):
+    t = theorems
+    p = t.direct(g, h).graph
+    if not t.is_well_dominated(p):
+        return t.HOLDS
+    if 3 * t.domination_number(g) < g.n or 3 * t.domination_number(h) < h.n:
+        return Verdict("counterexample",
+                       "well-dominated direct product with a factor of gamma < n/3",
+                       {"gammas": [t.domination_number(g), t.domination_number(h)],
+                        "orders": [g.n, h.n]})
+    return t.HOLDS
+
+
+def _product_first_tv(g, h):
+    t = theorems
+    p = t.direct(g, h).graph
+    if not t.is_well_covered(p):
+        return t.HOLDS
+    if not (t.is_well_covered(g) and t.is_well_covered(h)):
+        return t._fail("well-covered direct product with a factor that is not well-covered")
+    if t.independence_number(g) * h.n != t.independence_number(h) * g.n:
+        return Verdict("counterexample", "alpha(G)|V(H)| != alpha(H)|V(G)|",
+                       {"alphas": [t.independence_number(g), t.independence_number(h)],
+                        "orders": [g.n, h.n]})
+    return t.HOLDS
+
+
+PRODUCT_FIRST = {
+    "T1": _product_first_t1,
+    "WCFACTOR": _product_first_wcfactor,
+    "G4CART": _product_first_g4cart,
+    "DK": _product_first_dk,
+    "L3G": _product_first_l3g,
+    "TV": _product_first_tv,
+}
+
+
+@pytest.mark.parametrize("wrong", [True, False])
+@pytest.mark.parametrize("tid", sorted(PRODUCT_FIRST))
+def test_factor_first_matches_product_first(monkeypatch, tid, wrong):
+    # Products (order > 6 here; factors have order <= 5) get a wrong verdict,
+    # factors the true one, so the product branch shows in the counterexamples.
+    for name in ("is_well_dominated", "is_well_covered"):
+        real = getattr(theorems, name)
+        monkeypatch.setattr(theorems, name,
+                            lambda x, real=real: wrong if x.n > 6 else real(x))
+    counterexamples = 0
+    for pair in _instances(tid, DEFAULT_CORPORA[tid], None):
+        want = (PRODUCT_FIRST[tid](*pair) if THEOREMS[tid].hypothesis(pair)
+                else theorems.HYP_NOT_MET)
+        got = check_instance(tid, pair)
+        assert got == want, (tid, pair)
+        counterexamples += got.status == "counterexample"
+    assert counterexamples > 0 if wrong else counterexamples == 0
+
+
+def test_ub3_falls_back_to_exact_gamma(monkeypatch):
+    real_gamma = theorems.domination_number
+    decided = set()
+
+    def spy(x):
+        decided.add(x)
+        return real_gamma(x)
+
+    monkeypatch.setattr(theorems, "_greedy_cover", lambda x: x.full_mask)
+    monkeypatch.setattr(theorems, "domination_number", spy)
+    fallbacks = 0
+    for g, h in _instances("UB3", DEFAULT_CORPORA["UB3"], None):
+        assert check_instance("UB3", (g, h)) == theorems.HOLDS
+        p = direct(g, h).graph
+        if p.n > 3 * real_gamma(g) * real_gamma(h):
+            assert p in decided, (g, h)
+            fallbacks += 1
+    assert fallbacks > 0
+
+    p = direct(P4, C4).graph  # bound 3 * 2 * 2, and 16 vertices
+    monkeypatch.setattr(theorems, "domination_number",
+                        lambda x: 13 if x == p else real_gamma(x))
+    assert check_instance("UB3", (P4, C4)) == Verdict(
+        "counterexample", "gamma of the direct product exceeds 3*gamma*gamma",
+        {"gamma_product": 13, "bound": 12})
