@@ -354,8 +354,9 @@ def _l3g(pair) -> Verdict:
 def _tv(pair) -> Verdict:
     g, h = pair
     covered = is_well_covered(g) and is_well_covered(h)
-    balanced = independence_number(g) * h.n == independence_number(h) * g.n
-    if covered and balanced or not is_well_covered(direct(g, h).graph):
+    if covered and independence_number(g) * h.n == independence_number(h) * g.n:
+        return HOLDS
+    if not is_well_covered(direct(g, h).graph):
         return HOLDS
     if not covered:
         return _fail("well-covered direct product with a factor that is not well-covered")
