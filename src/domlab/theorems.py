@@ -116,7 +116,7 @@ def _nontrivial(g: Graph) -> bool:
 
 def _wd_witness(g: Graph) -> dict:
     # Two minimal dominating sets of different sizes; the smaller one need
-    # not be minimum (it may come from the well-covered shortcut).
+    # not be minimum.
     cert = well_dominated_certificate(g)
     if cert is None:
         return {}
@@ -127,11 +127,14 @@ def _wd_witness(g: Graph) -> dict:
 
 
 def _p1(g: Graph) -> Verdict:
-    if is_well_dominated(g) and not is_well_covered(g):
-        cert = well_covered_certificate(g)
-        return _fail("well-dominated but not well-covered",
-                     mis_small=cert[0], mis_large=cert[1])
-    return HOLDS
+    # The lemma behind P1 and the deciders: two maximal independent sets of
+    # different sizes are two minimal dominating sets of different sizes.
+    cert = well_covered_certificate(g)
+    if cert is None or (cert[0].bit_count() != cert[1].bit_count()
+                        and all(is_minimal_dominating(g, s) for s in cert)):
+        return HOLDS
+    return _fail("well-covered certificate is not two minimal dominating sets "
+                 "of different sizes", mis_small=cert[0], mis_large=cert[1])
 
 
 def _chain(g: Graph) -> Verdict:

@@ -96,10 +96,23 @@ def test_verdicts_match_certificates_and_oracle(g):
     assert is_well_dominated(g) == (well_dominated_certificate(g) is None) == (gamma == upper)
 
 
+def test_well_dominated_verdicts_need_no_gamma(monkeypatch):
+    from domlab.enumeration import connected_graphs
+
+    def gamma(g):
+        raise AssertionError("gamma asked")
+
+    monkeypatch.setattr(domination, "minimum_dominating_set", gamma)
+    for n in range(1, 7):
+        for g in connected_graphs(n):
+            gam, upper, _, _ = bruteforce.profile_numbers(g)
+            assert is_well_dominated(g) == (well_dominated_certificate(g) is None) == (gam == upper)
+
+
 def test_greedy_pair_settles_the_star_without_a_search(monkeypatch):
     # K1,3: the leaves first give {1, 2, 3}, the center first gives {0}.
     def search(g):
         raise AssertionError("the greedy pair should have decided")
 
-    monkeypatch.setattr(domination, "well_covered_certificate", search)
+    monkeypatch.setattr(domination, "_iter_maximal_independent", search)
     assert not is_well_covered(Graph(4, [(0, 1), (0, 2), (0, 3)]))

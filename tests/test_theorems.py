@@ -61,6 +61,16 @@ def test_counterexample_machinery_reports_clause_and_witness():
     assert verdict.status == "holds"
 
 
+def test_p1_reports_a_certificate_that_is_not_minimal_dominating(monkeypatch):
+    # The empty set and the whole vertex set differ in size, but neither is
+    # a minimal dominating set of P4.
+    monkeypatch.setattr(theorems, "well_covered_certificate",
+                        lambda g: (0, g.full_mask))
+    verdict = check_instance("P1", P4)
+    assert verdict.status == "counterexample"
+    assert verdict.witness == {"mis_small": [], "mis_large": [0, 1, 2, 3]}
+
+
 def test_dind_spot_check_random(rng):
     for _ in range(25):
         g = random_connected_graph(rng, rng.randint(2, 5))
@@ -171,9 +181,9 @@ def test_wd_witness_sets_are_minimal_not_minimum():
     from domlab.domination import domination_number
     from domlab.theorems import _wd_witness
 
-    # Not well-covered, so the certificate is two maximal independent sets;
-    # the smaller one has 6 members while gamma is 5.
-    g = Graph(9, [(0, 1), (1, 6), (2, 8), (7, 8)])
+    # The double star: not well-covered, so the certificate is the greedy
+    # pair {2, 3, 5} and {0, 1, 2, 3}, while gamma is 2 ({4, 5}).
+    g = Graph(6, [(0, 5), (1, 5), (2, 4), (3, 4), (4, 5)])
     witness = _wd_witness(g)
     small, large = witness["minimal_dom_small"], witness["minimal_dom_large"]
     assert is_minimal_dominating(g, mask_of(small))
