@@ -237,7 +237,6 @@ def _family_keys() -> dict[Graph, str]:
 NOT_MEMBER = "not-member"
 
 
-@lru_cache(maxsize=None)
 def classify_small_triangle_free(g: Graph) -> str:
     """Tag of the matching catalog graph among the eleven connected,
     triangle-free, well-dominated graphs with domination number <= 3,

@@ -1,28 +1,37 @@
 """Exact domination and independence invariants.
 
 All solvers work on bitmask vertex sets.  One branching kernel,
-``_minimal_sets``, serves every search over dominating sets, on closed
-neighborhoods for domination and open ones for total domination.  It walks
-an explicit stack, branches on the lowest-index undominated vertex, tries
-each vertex that dominates it with the siblings tried before excluded, and
-prunes a branch in which a chosen vertex dominates no vertex alone (a mask
-of the vertices dominated exactly once shows this without a rescan).  That
-tree visits every minimal set exactly once and supports early exit, which
-the well-dominated decider uses.  Under a size bound the kernel also cuts
-nodes that cannot reach a cover within it: gamma is the last set of a
-stream whose bound drops below each set found, and the minimum dominating
-sets are the stream bounded by gamma.  The public generators re-yield the
-sets in lexicographic order for reproducible reports.  Maximal independent
-sets come from a separate Bron--Kerbosch search with pivoting (CACM 16,
-1973), also on an explicit stack.
+``_minimal_sets``, serves four searches: minimal dominating sets (closed
+rows), minimal total dominating sets (open rows), maximal independent sets
+and isolatable vertices.  It walks an explicit stack, branches on the
+lowest-index uncovered vertex, tries each vertex that covers it with the
+siblings tried before excluded, and prunes a branch in which a chosen
+vertex dominates no vertex alone (a mask of the vertices dominated exactly
+once shows this without a rescan).  That tree visits every minimal cover
+exactly once and supports early exit, which the well-dominated decider
+uses.  Under a size bound the kernel also cuts nodes that cannot reach a
+cover within it: gamma is the last set of a stream whose bound drops below
+each set found, and the minimum dominating sets are the stream bounded by
+gamma.  The public generators re-yield the sets in lexicographic order for
+reproducible reports.
+
+The other two run under a lock: a chosen vertex c forbids N[c] in its
+subtree, so only independent sets are built.  The maximal independent sets
+are the independent dominating sets, so they are the dominating stream
+under the lock.  A vertex x is isolatable when some independent set
+avoiding N[x] covers N(x) by open rows; the kernel asks for one such cover
+with N[x] forbidden from the start (a minimal cover inside an independent
+cover is itself independent).  Under a lock the private-neighbor prune is
+skipped: on closed rows an independent member is its own private vertex,
+so the prune never fires, and the isolatable search needs any one cover.
 
 A verdict is its certificate: ``is_well_covered`` and ``is_well_dominated``
 are ``certificate is None``, and each property has one uncached search.
 The well-covered certificate starts from two greedy maximal independent
-sets, in ascending and in descending degree order, and runs Bron--Kerbosch
-only when their sizes agree.  The well-dominated certificate returns the
-well-covered one when there is one, since a maximal independent set is a
-minimal dominating set (so well-dominated graphs are well-covered: Finbow,
+sets, in ascending and in descending degree order, and searches only when
+their sizes agree.  The well-dominated certificate returns the well-covered
+one when there is one, since a maximal independent set is a minimal
+dominating set (so well-dominated graphs are well-covered: Finbow,
 Hartnell and Nowakowski, Ars Combin. 25A, 1988); otherwise it scans the
 minimal-dominating stream against the size of its first set, without gamma.
 Only ``minimum_dominating_set`` and ``_mis_extrema`` are cached: the
@@ -100,24 +109,31 @@ def is_maximal_independent(g: Graph, s: int) -> bool:
 
 
 def _minimal_sets(
-    rows: Sequence[int], full: int, bound: list[int] | None = None
+    rows: Sequence[int],
+    full: int,
+    bound: list[int] | None = None,
+    lock: Sequence[int] | None = None,
+    forbidden: int = 0,
 ) -> Iterator[int]:
     """Every minimal set whose rows cover ``full``, once each, in DFS order.
 
-    ``rows[v]`` is the mask that v dominates.  Stack entries are (set,
-    dominated, dominated once, forbidden, size).  With ``bound``, only sets
-    of at most ``bound[0]`` members come out, and the caller may lower
-    ``bound[0]`` between results.
+    ``rows[v]`` is the mask that v dominates, and no vertex of ``forbidden``
+    is chosen.  Stack entries are (set, dominated, dominated once,
+    forbidden, size).  With ``bound``, only sets of at most ``bound[0]``
+    members come out, and the caller may lower ``bound[0]`` between
+    results.  With ``lock``, a chosen vertex c forbids ``lock[c]`` in its
+    subtree and the private-neighbor prune is skipped: every cover the lock
+    allows that this branching reaches comes out once, minimal or not.
     """
-    stack = [(0, 0, 0, 0, 0)]
+    stack = [(0, 0, 0, forbidden, 0)]
     while stack:
         s, dom, once, forbidden, size = stack.pop()
         if bound is not None and size > bound[0]:
             continue
-        if dom == full:
+        rem = full & ~dom
+        if not rem:
             yield s
             continue
-        rem = full & ~dom
         if bound is not None:
             room = bound[0] - size
             if not room:
@@ -133,16 +149,19 @@ def _minimal_sets(
         children = []
         for c in iter_bits(rows[u] & ~forbidden):
             row = rows[c]
-            once2 = once & ~row | row & ~dom
-            # c keeps u; a member can only lose vertices c dominates again.
-            m = s if once & row else 0
-            while m:
-                low = m & -m
-                if not rows[low.bit_length() - 1] & once2:
-                    break
-                m ^= low
+            if lock is not None:
+                children.append((s | 1 << c, dom | row, 0, forbidden | lock[c], size + 1))
             else:
-                children.append((s | 1 << c, dom | row, once2, forbidden, size + 1))
+                once2 = once & ~row | row & ~dom
+                # c keeps u; a member can only lose vertices c dominates again.
+                m = s if once & row else 0
+                while m:
+                    low = m & -m
+                    if not rows[low.bit_length() - 1] & once2:
+                        break
+                    m ^= low
+                else:
+                    children.append((s | 1 << c, dom | row, once2, forbidden, size + 1))
             forbidden |= 1 << c
         stack.extend(reversed(children))
 
@@ -158,29 +177,10 @@ def minimal_dominating_sets(g: Graph) -> Iterator[int]:
 
 
 def _iter_maximal_independent(g: Graph) -> Iterator[int]:
-    """Maximal independent sets in pivoted search order (deterministic).
-    Stack entries are (set, candidates, excluded); each child excludes the
-    candidates tried before it."""
-    full = g.full_mask
-    nadj = [~(row | 1 << v) & full for v, row in enumerate(g.adj)]
-    stack = [(0, full, 0)]
-    while stack:
-        r, p, x = stack.pop()
-        if not p:
-            if not x:
-                yield r
-            continue
-        pivot, best = -1, -1
-        for v in iter_bits(p | x):
-            c = (nadj[v] & p).bit_count()
-            if c > best:
-                best, pivot = c, v
-        children = []
-        for v in iter_bits(p & ~nadj[pivot]):
-            children.append((r | 1 << v, p & nadj[v], x & nadj[v]))
-            p ^= 1 << v
-            x |= 1 << v
-        stack.extend(reversed(children))
+    """Every maximal independent set exactly once, in branching (DFS) order:
+    the dominating sets whose members lock their closed neighborhoods."""
+    closed = _closed_adj(g)
+    return _minimal_sets(closed, g.full_mask, lock=closed)
 
 
 def maximal_independent_sets(g: Graph) -> Iterator[int]:
@@ -232,18 +232,23 @@ def minimum_dominating_sets(g: Graph) -> list[int]:
     return sorted(_minimal_sets(_closed_adj(g), g.full_mask, bound), key=set_of)
 
 
-@lru_cache(maxsize=None)
-def _mis_extrema(g: Graph) -> tuple[int, int, int, int]:
-    # (i, alpha, witness_min, witness_max) over maximal independent sets.
+def _size_extrema(sets: Iterable[int]) -> tuple[int, int, int]:
+    """(smallest size, largest size, first set of the largest size)."""
     lo = hi = -1
-    lo_mask = hi_mask = 0
-    for s in _iter_maximal_independent(g):
+    widest = 0
+    for s in sets:
         k = s.bit_count()
         if lo < 0 or k < lo:
-            lo, lo_mask = k, s
+            lo = k
         if k > hi:
-            hi, hi_mask = k, s
-    return lo, hi, lo_mask, hi_mask
+            hi, widest = k, s
+    return lo, hi, widest
+
+
+@lru_cache(maxsize=None)
+def _mis_extrema(g: Graph) -> tuple[int, int, int]:
+    """(i, alpha, a maximum independent set)."""
+    return _size_extrema(_iter_maximal_independent(g))
 
 
 def independence_number(g: Graph) -> int:
@@ -274,7 +279,7 @@ def _two_sizes(first: int, rest: Iterable[int]) -> tuple[int, int] | None:
 def well_covered_certificate(g: Graph) -> tuple[int, int] | None:
     """None when well-covered, else two maximal independent sets of
     different sizes (smaller first).  The greedy sets in ascending and in
-    descending degree order come first; Bron--Kerbosch runs only when their
+    descending degree order come first; the search runs only when their
     sizes agree."""
     order = sorted(range(g.n), key=g.degree)
     first = _greedy_independent(g.adj, order)
@@ -312,14 +317,7 @@ def total_domination_numbers(g: Graph) -> tuple[int, int]:
     """(min, max) cardinality over minimal total dominating sets."""
     if has_isolated_vertex(g):
         raise ValueError("total domination is undefined with an isolated vertex")
-    lo = hi = -1
-    for s in _iter_minimal_total_dominating(g):
-        k = s.bit_count()
-        if lo < 0 or k < lo:
-            lo = k
-        if k > hi:
-            hi = k
-    return lo, hi
+    return _size_extrema(_iter_minimal_total_dominating(g))[:2]
 
 
 def total_domination_number(g: Graph) -> int:
@@ -398,23 +396,14 @@ def is_two_packing(g: Graph, s: int) -> bool:
     return dom == once
 
 
-def _is_isolatable(g: Graph, x: int) -> bool:
-    target = g.adj[x]
-    if not target:
-        return True  # already isolated (witnessed by the empty set)
-    allowed = g.full_mask & ~(g.adj[x] | 1 << x)
-
-    def rec(covered: int, allowed: int) -> bool:
-        need = target & ~covered
-        if not need:
-            return True
-        u = (need & -need).bit_length() - 1
-        for c in iter_bits(g.adj[u] & allowed):
-            if rec(covered | g.adj[c], allowed & ~(g.adj[c] | 1 << c)):
-                return True
-        return False
-
-    return rec(0, allowed)
+def _isolatable(g: Graph) -> Iterator[int]:
+    """Each isolatable vertex x, in order: the first independent set that
+    avoids N[x] and covers N(x) by open rows witnesses it."""
+    closed = _closed_adj(g)
+    for x in range(g.n):
+        for _ in _minimal_sets(g.adj, g.adj[x], lock=closed, forbidden=closed[x]):
+            yield x
+            break
 
 
 def isolatable_vertices(g: Graph) -> int:
@@ -423,15 +412,11 @@ def isolatable_vertices(g: Graph) -> int:
     Equivalently: some independent I avoiding N[x] has N(x) inside N[I]; the
     empty set is admitted, so isolated vertices are isolatable.
     """
-    out = 0
-    for x in range(g.n):
-        if _is_isolatable(g, x):
-            out |= 1 << x
-    return out
+    return sum(1 << x for x in _isolatable(g))
 
 
 def has_isolatable_vertex(g: Graph) -> bool:
-    return isolatable_vertices(g) != 0
+    return next(_isolatable(g), None) is not None
 
 
 # -- the profile ----------------------------------------------------------------------
@@ -476,7 +461,7 @@ def domination_profile(g: Graph) -> DominationProfile:
     witness_min = minimum_dominating_set(g)
     gamma = witness_min.bit_count()
     upper = upper_domination_number(g)
-    ind_dom, alpha, _, witness_max = _mis_extrema(g)
+    ind_dom, alpha, witness_max = _mis_extrema(g)
     if has_isolated_vertex(g):
         gamma_t = upper_t = None
     else:

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from itertools import combinations
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .graph6 import load_graph6_file, save_graph6_file, to_graph6
 from .graphs import Graph, is_connected, iter_bits, mask_of
@@ -117,23 +117,20 @@ def connected_graphs(n: int, triangle_free: bool = False) -> list[Graph]:
 
 def enumerate_connected(
     n: int,
-    predicate: Callable[[Graph], bool] | None = None,
+    *,
     triangle_free: bool = False,
     budget: int = DEFAULT_BUDGET,
     cache_dir: str | Path | None = None,
 ) -> Iterator[Graph]:
     """Stream one representative per isomorphism class of connected graphs of
-    order n passing the filter, in deterministic order.
+    order n, in deterministic order.
 
     Raises when n exceeds the configured budget (default 9); raise the budget
     explicitly for larger sweeps, at the cost of much longer enumeration.
     """
     if not 1 <= n <= budget:
         raise ValueError(f"order {n} outside the enumeration budget 1..{budget}")
-    graphs = _load_or_build_connected(n, triangle_free, cache_dir)
-    for g in graphs:
-        if predicate is None or predicate(g):
-            yield g
+    yield from _load_or_build_connected(n, triangle_free, cache_dir)
 
 
 def _cache_path(cache_dir: str | Path, n: int, triangle_free: bool) -> Path:

@@ -111,10 +111,11 @@ def test_streams_match_bruteforce_and_lex_order():
 
 
 def test_maximal_independent_stream_order_is_pinned():
-    # The raw Bron--Kerbosch order, not only its set: the L2P and DIND
-    # witnesses and the benchmark's traced count of yielded sets follow it.
-    # The digest covers every graph of order <= 7 and the three products of
-    # each order-3 graph with K2 and with K3, one line of masks per graph.
+    # The raw branching order of the kernel under the closed-neighborhood
+    # lock (lowest-index undominated vertex first), not only its set: the
+    # L2P and DIND witnesses follow it.  The digest covers every graph of
+    # order <= 7 and the three products of each order-3 graph with K2 and
+    # with K3, one line of masks per graph.
     graphs = [g for n in range(1, 8) for g in all_graphs(n)]
     graphs += [product(kind, g, h).graph
                for kind in PRODUCT_KINDS for g in all_graphs(3) for h in (K2, K3)]
@@ -123,7 +124,7 @@ def test_maximal_independent_stream_order_is_pinned():
         digest.update((",".join(map(str, _iter_maximal_independent(g))) + "\n").encode())
     assert len(graphs) == 1276
     assert digest.hexdigest() == (
-        "caf4905db1593c6887a6515dc10f4886d0aae873fb585840d9c2361b5df99cfb")
+        "e9fdbea032b2d1a814e63e9469690382b1a98e4fbaf0990e43a1c2193d8e06ca")
 
 
 def test_solvers_match_oracle_small_random(rng):

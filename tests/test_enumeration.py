@@ -113,8 +113,8 @@ def test_no_duplicates_and_all_connected():
 def test_enumerate_connected_budget_and_filter():
     assert len(list(enumerate_connected(1))) == 1
     assert len(list(enumerate_connected(4))) == 6
-    evens = list(enumerate_connected(5, predicate=lambda g: g.edge_count % 2 == 0))
-    assert all(g.edge_count % 2 == 0 for g in evens)
+    with pytest.raises(TypeError):
+        enumerate_connected(5, True)  # everything after the order is keyword-only
     with pytest.raises(ValueError):
         list(enumerate_connected(10))
     with pytest.raises(ValueError):

@@ -1,19 +1,23 @@
-"""Property tests: the domination branching kernel, the vertex-set
-predicates and the well-covered and well-dominated verdicts against the
-oracles of ``bruteforce`` on random graphs of order <= 10."""
+"""Property tests: the domination branching kernel (free and under the
+closed-neighborhood lock), the vertex-set predicates and the well-covered
+and well-dominated verdicts against the oracles of ``bruteforce`` on random
+graphs of order <= 10."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from domlab import domination
 from domlab.domination import (
+    _iter_maximal_independent,
     domination_number,
+    has_isolatable_vertex,
     is_maximal_independent,
     is_minimal_dominating,
     is_open_irredundant,
     is_two_packing,
     is_well_covered,
     is_well_dominated,
+    isolatable_vertices,
     minimal_dominating_sets,
     minimum_dominating_sets,
     private_neighbors,
@@ -68,6 +72,22 @@ def test_minimal_and_minimum_dominating_sets_match_oracle(g):
     assert list(minimal_dominating_sets(g)) == oracle
     gamma = min(s.bit_count() for s in oracle)
     assert minimum_dominating_sets(g) == [s for s in oracle if s.bit_count() == gamma]
+
+
+@PROPERTY
+@given(graphs())
+def test_maximal_independent_stream_matches_oracle(g):
+    stream = list(_iter_maximal_independent(g))
+    assert len(stream) == len(set(stream))
+    assert set(stream) == bruteforce.all_maximal_independent(g)
+
+
+@PROPERTY
+@given(graphs())
+def test_isolatable_vertices_match_oracle(g):
+    oracle = bruteforce.isolatable(g)
+    assert isolatable_vertices(g) == oracle
+    assert has_isolatable_vertex(g) == (oracle != 0)
 
 
 @PROPERTY
