@@ -4,10 +4,11 @@ All solvers work on bitmask vertex sets.  One branching kernel,
 ``_minimal_sets``, serves four searches: minimal dominating sets (closed
 rows), minimal total dominating sets (open rows), maximal independent sets
 and isolatable vertices.  It walks an explicit stack, branches on the
-lowest-index uncovered vertex, tries each vertex that covers it with the
-siblings tried before excluded, and prunes a branch in which a chosen
-vertex dominates no vertex alone (a mask of the vertices dominated exactly
-once shows this without a rescan).  That tree visits every minimal cover
+lowest-index uncovered vertex and pushes each vertex that covers it,
+highest first, with the lower candidates forbidden in its subtree (so the
+lowest is popped first), and prunes a branch in which a chosen vertex
+dominates no vertex alone (a mask of the vertices dominated exactly once
+shows this without a rescan).  That tree visits every minimal cover
 exactly once and supports early exit, which the well-dominated decider
 uses.  Under a size bound the kernel also cuts nodes that cannot reach a
 cover within it: gamma is the last set of a stream whose bound drops below
@@ -76,10 +77,12 @@ def _dominated_once(g: Graph, s: int) -> tuple[int, int]:
     """(N[s], the vertices that exactly one member of s dominates), built
     member by member with the update of ``_minimal_sets``."""
     dom = once = 0
-    for v in iter_bits(s):
-        row = g.adj[v] | 1 << v
+    while s:
+        low = s & -s
+        row = g.adj[low.bit_length() - 1] | low
         once = once & ~row | row & ~dom
         dom |= row
+        s ^= low
     return dom, once
 
 
@@ -95,7 +98,12 @@ def is_minimal_dominating(g: Graph, s: int) -> bool:
     dom, once = _dominated_once(g, s)
     if dom != g.full_mask:
         return False
-    return all((g.adj[u] | 1 << u) & once for u in iter_bits(s))
+    while s:
+        low = s & -s
+        if not (g.adj[low.bit_length() - 1] | low) & once:
+            return False
+        s ^= low
+    return True
 
 
 def is_maximal_independent(g: Graph, s: int) -> bool:
@@ -146,11 +154,13 @@ def _minimal_sets(
             if rem.bit_count() > room * maxcov:
                 continue
         u = (rem & -rem).bit_length() - 1
-        children = []
-        for c in iter_bits(rows[u] & ~forbidden):
+        cand = rows[u] & ~forbidden
+        while cand:
+            c = cand.bit_length() - 1
+            cand ^= 1 << c
             row = rows[c]
             if lock is not None:
-                children.append((s | 1 << c, dom | row, 0, forbidden | lock[c], size + 1))
+                stack.append((s | 1 << c, dom | row, 0, forbidden | cand | lock[c], size + 1))
             else:
                 once2 = once & ~row | row & ~dom
                 # c keeps u; a member can only lose vertices c dominates again.
@@ -161,9 +171,7 @@ def _minimal_sets(
                         break
                     m ^= low
                 else:
-                    children.append((s | 1 << c, dom | row, once2, forbidden, size + 1))
-            forbidden |= 1 << c
-        stack.extend(reversed(children))
+                    stack.append((s | 1 << c, dom | row, once2, forbidden | cand, size + 1))
 
 
 def _iter_minimal_dominating(g: Graph) -> Iterator[int]:
@@ -281,7 +289,7 @@ def well_covered_certificate(g: Graph) -> tuple[int, int] | None:
     different sizes (smaller first).  The greedy sets in ascending and in
     descending degree order come first; the search runs only when their
     sizes agree."""
-    order = sorted(range(g.n), key=g.degree)
+    order = sorted(range(g.n), key=[row.bit_count() for row in g.adj].__getitem__)
     first = _greedy_independent(g.adj, order)
     return (_two_sizes(first, [_greedy_independent(g.adj, reversed(order))])
             or _two_sizes(first, _iter_maximal_independent(g)))

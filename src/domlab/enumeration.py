@@ -32,7 +32,7 @@ from pathlib import Path
 from typing import Iterator
 
 from .graph6 import load_graph6_file, save_graph6_file, to_graph6
-from .graphs import Graph, is_connected, iter_bits, mask_of
+from .graphs import MAX_ORDER, Graph, is_connected, iter_bits, mask_of
 from .isomorphism import canonical_graph, canonical_labeling
 
 DEFAULT_BUDGET = 9
@@ -125,11 +125,12 @@ def enumerate_connected(
     """Stream one representative per isomorphism class of connected graphs of
     order n, in deterministic order.
 
-    Raises when n exceeds the configured budget (default 9); raise the budget
-    explicitly for larger sweeps, at the cost of much longer enumeration.
+    Raises when n exceeds the budget (default 9) or MAX_ORDER; raise the
+    budget explicitly for larger sweeps, at the cost of much longer runs.
     """
-    if not 1 <= n <= budget:
-        raise ValueError(f"order {n} outside the enumeration budget 1..{budget}")
+    top = min(budget, MAX_ORDER)
+    if not 1 <= n <= top:
+        raise ValueError(f"order {n} outside the enumeration budget 1..{top}")
     yield from _load_or_build_connected(n, triangle_free, cache_dir)
 
 

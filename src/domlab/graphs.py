@@ -18,7 +18,8 @@ INFINITY = math.inf
 
 
 def iter_bits(mask: int) -> Iterator[int]:
-    """Yield the set bit positions of ``mask`` in increasing order."""
+    """Yield the set bit positions of ``mask`` in increasing order.  For code
+    outside the hot loops, which walk ``low = mask & -mask`` inline."""
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
@@ -208,16 +209,8 @@ def distance(g: Graph, u: int, v: int) -> float:
 
 
 def is_connected(g: Graph) -> bool:
-    """True when a BFS from vertex 0 reaches every vertex."""
-    seen = 1
-    frontier = 1
-    while frontier:
-        nxt = 0
-        for v in iter_bits(frontier):
-            nxt |= g.adj[v]
-        frontier = nxt & ~seen
-        seen |= frontier
-    return seen == g.full_mask
+    """True when the component of vertex 0 holds every vertex."""
+    return components(g)[0] == g.full_mask
 
 
 def components(g: Graph) -> list[int]:
@@ -230,8 +223,10 @@ def components(g: Graph) -> list[int]:
         frontier = start
         while frontier:
             nxt = 0
-            for v in iter_bits(frontier):
-                nxt |= g.adj[v]
+            while frontier:
+                low = frontier & -frontier
+                nxt |= g.adj[low.bit_length() - 1]
+                frontier ^= low
             frontier = nxt & ~seen
             seen |= frontier
         out.append(seen)

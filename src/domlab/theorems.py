@@ -374,10 +374,11 @@ def _dind(pair) -> Verdict:
     q = h.n
     j_sets = list(_iter_maximal_independent(h))
     for i_set in _iter_maximal_independent(g):
+        spread = 0  # bit a*q per a in i_set; spread * j_set has no carries
+        for a in iter_bits(i_set):
+            spread |= 1 << a * q
         for j_set in j_sets:
-            prod_set = 0
-            for a in iter_bits(i_set):
-                prod_set |= j_set << a * q
+            prod_set = spread * j_set
             if not is_maximal_independent(p, prod_set):
                 return _fail("product of maximal independent sets is not "
                              "maximal independent in the disjunctive product",
@@ -394,12 +395,13 @@ def _dtot(pair) -> Verdict:
     for fixed, other, fixed_step, set_step in ((g, h, q, 1), (h, g, 1, q)):
         uni = universal_vertices(fixed)
         for t_set in _iter_minimal_total_dominating(other):
+            spread = 0
+            for b in iter_bits(t_set):
+                spread |= 1 << b * set_step
             for v in range(fixed.n):
                 if uni >> v & 1:
                     continue
-                prod_set = 0
-                for b in iter_bits(t_set):
-                    prod_set |= 1 << (v * fixed_step + b * set_step)
+                prod_set = spread << v * fixed_step
                 if not is_minimal_dominating(p, prod_set):
                     return _fail("fixed-vertex copy of a minimal total dominating set "
                                  "is not a minimal dominating set of the disjunctive product",

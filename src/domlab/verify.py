@@ -45,6 +45,12 @@ class CorpusSpec:
     path: str | None = None
     budget: int = DEFAULT_BUDGET
 
+    def __post_init__(self) -> None:
+        top = min(self.budget, MAX_ORDER)
+        if self.path is None and not 1 <= self.min_order <= self.max_order <= top:
+            raise ValueError(f"orders {self.min_order}..{self.max_order} outside "
+                             f"the enumeration budget 1..{top}")
+
     def describe(self) -> str:
         if self.path is not None:
             return f"file:{self.path}"
@@ -57,11 +63,6 @@ class CorpusSpec:
             if self.triangle_free:
                 graphs = [g for g in graphs if is_triangle_free(g)]
             return graphs
-        if not 1 <= self.min_order <= self.max_order <= self.budget:
-            raise ValueError(
-                f"orders {self.min_order}..{self.max_order} outside the "
-                f"enumeration budget 1..{self.budget}"
-            )
         out: list[Graph] = []
         for n in range(self.min_order, self.max_order + 1):
             out.extend(
@@ -192,6 +193,8 @@ def verify_corpus(
     """Sweep one theorem over a corpus and aggregate the verdicts."""
     if tid not in THEOREMS:
         raise KeyError(f"unknown theorem id {tid!r}")
+    if workers < 1 or cap < 0:
+        raise ValueError(f"workers must be at least 1 and cap at least 0: {workers}, {cap}")
     if corpus is None:
         corpus = DEFAULT_CORPORA[tid]
     start = time.perf_counter()

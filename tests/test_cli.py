@@ -1,5 +1,6 @@
 import json
 import re
+import time
 
 import pytest
 
@@ -156,6 +157,46 @@ def test_verify_bad_product_cap_fails_before_corpus_load(capsys, tmp_path, monke
     assert code == 2
     assert out == ""
     assert "product cap 100" in err
+
+
+@pytest.mark.parametrize("argv, env", [
+    (["--workers", "0"], {}),
+    (["--workers", "-3"], {}),
+    (["--cap", "-1"], {}),
+    ([], {"DOMLAB_WORKERS": "0"}),
+])
+def test_verify_bad_workers_or_cap_fail_before_instances(capsys, monkeypatch, argv, env):
+    import domlab.verify
+
+    def no_instances(*args):
+        raise AssertionError("instances built before workers and cap were checked")
+
+    monkeypatch.setattr(domlab.verify, "_instances", no_instances)
+    for key, val in env.items():
+        monkeypatch.setenv(key, val)
+    code, out, err = run(capsys, "verify", "DK", *argv)
+    assert code == 2
+    assert out == ""
+    assert "workers must be at least 1 and cap at least 0" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "70", "--budget", "80"],
+    ["verify", "LNE", "--max-order", "70", "--budget", "80", "--workers", "1"],
+])
+def test_orders_above_max_order_fail_at_once(capsys, monkeypatch, argv):
+    import domlab.enumeration
+
+    def no_build(*args):
+        raise AssertionError("a corpus was built before the order was checked")
+
+    monkeypatch.setattr(domlab.enumeration, "_load_or_build_connected", no_build)
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "budget 1..62" in err
+    assert time.perf_counter() - start < 1
 
 
 def test_verify_default_corpus_keeps_triangle_free(capsys):

@@ -12,10 +12,12 @@ from domlab.catalog import (
 from domlab.domination import (
     _iter_maximal_independent,
     _iter_minimal_dominating,
+    _iter_minimal_total_dominating,
     domination_number,
     domination_profile,
     greedy_maximal_independent,
     greedy_minimal_dominating,
+    has_isolated_vertex,
     independence_number,
     is_dominating,
     is_minimal_dominating,
@@ -125,6 +127,27 @@ def test_maximal_independent_stream_order_is_pinned():
     assert len(graphs) == 1276
     assert digest.hexdigest() == (
         "e9fdbea032b2d1a814e63e9469690382b1a98e4fbaf0990e43a1c2193d8e06ca")
+
+
+def test_free_kernel_stream_order_is_pinned():
+    # The raw branching order of the kernel without a lock decides which
+    # sets come out first: the well-dominated certificate, the minimum
+    # dominating set (the CLI's witness_min_dom) and the DTOT witnesses.
+    # The digest covers the minimal dominating stream, the minimal total
+    # dominating stream of the isolate-free graphs and the minimum
+    # dominating set, one line per graph, on the graphs of the test above.
+    graphs = [g for n in range(1, 8) for g in all_graphs(n)]
+    graphs += [product(kind, g, h).graph
+               for kind in PRODUCT_KINDS for g in all_graphs(3) for h in (K2, K3)]
+    digest = hashlib.sha256()
+    for g in graphs:
+        total = [] if has_isolated_vertex(g) else _iter_minimal_total_dominating(g)
+        line = (",".join(map(str, _iter_minimal_dominating(g))) + ";"
+                + ",".join(map(str, total)) + f";{minimum_dominating_set(g)}\n")
+        digest.update(line.encode())
+    assert len(graphs) == 1276
+    assert digest.hexdigest() == (
+        "e2c52f26e431a17e74280cec014776421fe6d5cc2470714cb4407ea55cbbbdf5")
 
 
 def test_solvers_match_oracle_small_random(rng):
