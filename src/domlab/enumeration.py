@@ -91,8 +91,15 @@ def _orbit(s: int, gens: list[tuple[int, ...]]) -> set[int]:
     """The vertex sets that products of ``gens`` map the set ``s`` onto."""
     orbit, stack = {s}, [s]
     while stack:
-        t = list(iter_bits(stack.pop()))
-        for u in (mask_of(p[v] for v in t) for p in gens):
+        t, vs = stack.pop(), []
+        while t:
+            low = t & -t
+            t ^= low
+            vs.append(low.bit_length() - 1)
+        for p in gens:
+            u = 0
+            for v in vs:
+                u |= 1 << p[v]
             if u not in orbit:
                 orbit.add(u)
                 stack.append(u)
@@ -128,6 +135,8 @@ def enumerate_connected(
     Raises when n exceeds the budget (default 9) or MAX_ORDER; raise the
     budget explicitly for larger sweeps, at the cost of much longer runs.
     """
+    if budget < 1:
+        raise ValueError(f"enumeration budget must be at least 1, got {budget}")
     top = min(budget, MAX_ORDER)
     if not 1 <= n <= top:
         raise ValueError(f"order {n} outside the enumeration budget 1..{top}")
@@ -143,6 +152,8 @@ def _load_or_build_connected(
     n: int, triangle_free: bool, cache_dir: str | Path | None
 ) -> list[Graph]:
     path = None if cache_dir is None else _cache_path(cache_dir, n, triangle_free)
+    if path is not None:  # an unusable directory fails here, not after the build
+        path.parent.mkdir(parents=True, exist_ok=True)
     if path is not None and path.exists() and (n, triangle_free) not in _connected_cache:
         _connected_cache[n, triangle_free] = load_graph6_file(path)
     graphs = connected_graphs(n, triangle_free)

@@ -242,22 +242,21 @@ def girth(g: Graph) -> float:
     """
     best = INFINITY
     for root in range(g.n):
-        dist = [-1] * g.n
-        dist[root] = 0
-        frontier = [root]
+        seen = level = 1 << root
         d = 0
-        while frontier and 2 * d + 1 < best:
-            nxt = []
-            for v in frontier:
-                for u in iter_bits(g.adj[v]):
-                    if dist[u] == -1:
-                        dist[u] = d + 1
-                        nxt.append(u)
-                    elif dist[u] == d:
-                        best = min(best, 2 * d + 1)
-                    elif dist[u] == d + 1:
-                        best = min(best, 2 * d + 2)
-            frontier = nxt
+        while level and 2 * d + 1 < best:
+            nxt, rest = 0, level
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                row = g.adj[low.bit_length() - 1]
+                if row & level:  # an edge inside level d
+                    best = min(best, 2 * d + 1)
+                elif row & nxt:  # a second way into level d + 1
+                    best = min(best, 2 * d + 2)
+                nxt |= row & ~seen
+            seen |= nxt
+            level = nxt
             d += 1
     return best
 

@@ -5,7 +5,10 @@ individualization, searching for the labeling whose upper-triangle adjacency
 bitstring is lexicographically smallest.  Automorphisms discovered when two
 leaves of the search tree produce identical encodings are used to prune
 branches that individualize vertices from the same orbit, which keeps highly
-symmetric graphs (complete graphs, cycles, products) cheap.
+symmetric graphs (complete graphs, cycles, products) cheap.  Transpositions
+of twin vertices seed those automorphisms at the root.  Pruning by
+automorphisms only skips leaves that share an encoding with one searched, so
+the smallest leaf, and hence the canonical form, does not depend on them.
 
 Canonical labeling rather than invariant fingerprints is used throughout so
 that corpus deduplication is exact.
@@ -32,10 +35,13 @@ def _refine(n: int, adj: tuple[int, ...], cells: list[int]) -> list[int]:
                 new.append(cell)
                 continue
             groups: dict[tuple[int, ...], int] = {}
-            for v in iter_bits(cell):
-                row = adj[v]
-                sig = tuple((row & c).bit_count() for c in cells)
-                groups[sig] = groups.get(sig, 0) | (1 << v)
+            rest = cell
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                row = adj[low.bit_length() - 1]
+                sig = tuple([(row & c).bit_count() for c in cells])
+                groups[sig] = groups.get(sig, 0) | low
             if len(groups) == 1:
                 new.append(cell)
             else:
@@ -84,16 +90,26 @@ def canonical_labeling(g: Graph) -> tuple[list[int], list[tuple[int, ...]]]:
     for v in range(n):
         d = adj[v].bit_count()
         bydeg[d] = bydeg.get(d, 0) | (1 << v)
-    cells = [bydeg[d] for d in sorted(bydeg)]
+    cells = _refine(n, adj, [bydeg[d] for d in sorted(bydeg)])
 
     best_enc: int | None = None
     best_lab: list[int] | None = None
     leaves: dict[int, list[int]] = {}
     gens: list[tuple[int, ...]] = []
+    # Twins (equal open rows, or equal closed rows) share a cell, and swapping
+    # two is an automorphism.  Chained swaps (previous twin, v) survive the
+    # stabilizer filter below while the lower twins get individualized.
+    last: dict[int, int] = {}
+    for v in iter_bits(sum(cell for cell in cells if cell & (cell - 1))):
+        for row in (adj[v], adj[v] | 1 << v):
+            if row in last:
+                p = list(range(n))
+                p[v], p[last[row]] = last[row], v
+                gens.append(tuple(p))
+            last[row] = v
 
     def search(cells: list[int], fixed: tuple[int, ...]) -> None:
         nonlocal best_enc, best_lab
-        cells = _refine(n, adj, cells)
         target = -1
         tsize = n + 1
         for idx, cell in enumerate(cells):
@@ -129,7 +145,7 @@ def canonical_labeling(g: Graph) -> tuple[list[int], list[tuple[int, ...]]]:
                 filtered = len(gens)
                 if usable and _orbit_reaches(u, tried, usable):
                     continue
-            search(prefix + [1 << u, cell ^ (1 << u)] + suffix, fixed + (u,))
+            search(_refine(n, adj, prefix + [1 << u, cell ^ (1 << u)] + suffix), fixed + (u,))
             tried.append(u)
 
     search(cells, ())
@@ -145,9 +161,11 @@ def canonical_graph(g: Graph) -> Graph:
         perm[v] = i
     rows = []
     for v in lab:
-        row = 0
-        for u in iter_bits(g.adj[v]):
-            row |= 1 << perm[u]
+        row, rest = 0, g.adj[v]
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            row |= 1 << perm[low.bit_length() - 1]
         rows.append(row)
     return Graph._raw(g.n, tuple(rows))
 

@@ -46,6 +46,8 @@ class CorpusSpec:
     budget: int = DEFAULT_BUDGET
 
     def __post_init__(self) -> None:
+        if self.budget < 1:
+            raise ValueError(f"enumeration budget must be at least 1, got {self.budget}")
         top = min(self.budget, MAX_ORDER)
         if self.path is None and not 1 <= self.min_order <= self.max_order <= top:
             raise ValueError(f"orders {self.min_order}..{self.max_order} outside "

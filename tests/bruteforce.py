@@ -200,10 +200,8 @@ def count_isomorphism_classes(n: int, connected_only: bool = False,
             [pos[tuple(sorted((perm[i], perm[j])))] for (i, j) in pairs],
             dtype=np.int64,
         )
-        permuted = np.zeros_like(bits)
-        permuted[:, idx] = bits
-        enc = permuted @ weights
-        np.minimum(best, enc, out=best)
+        # edge bit k moves to position idx[k]
+        np.minimum(best, bits @ weights[idx], out=best)
     reps = np.unique(best)
     if not (connected_only or triangle_free_only):
         return len(reps)

@@ -199,6 +199,32 @@ def test_orders_above_max_order_fail_at_once(capsys, monkeypatch, argv):
     assert time.perf_counter() - start < 1
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["enumerate", "8", "--cache-dir", "{file}/cache"], "{file}"),
+    (["enumerate", "8", "--cache-dir", "{file}"], "{file}"),
+    (["verify", "LNE", "--max-order", "8", "--cache-dir", "{file}/cache", "--workers", "1"],
+     "{file}"),
+    (["enumerate", "3", "--budget", "0"], "budget must be at least 1, got 0"),
+    (["verify", "LNE", "--budget", "-1", "--workers", "1"], "budget must be at least 1, got -1"),
+], ids=["enumerate-dir-below-file", "enumerate-dir-is-file", "verify-dir-below-file",
+        "enumerate-budget-0", "verify-budget-negative"])
+def test_bad_cache_dir_or_budget_fail_at_once(capsys, tmp_path, monkeypatch, argv, message):
+    import domlab.enumeration
+
+    def no_build(*args):
+        raise AssertionError("a corpus was built before the cache dir and budget were checked")
+
+    monkeypatch.setattr(domlab.enumeration, "connected_graphs", no_build)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    start = time.perf_counter()
+    code, out, err = run(capsys, *(a.replace("{file}", str(blocker)) for a in argv))
+    assert code == 2
+    assert out == ""
+    assert message.replace("{file}", str(blocker)) in err
+    assert time.perf_counter() - start < 1
+
+
 def test_verify_default_corpus_keeps_triangle_free(capsys):
     # T2's default corpus is triangle-free; narrowing the orders must not
     # silently drop that filter

@@ -165,6 +165,40 @@ def test_automorphism_generators_generate_the_whole_group(rng):
             assert len(group) == sum(h.relabeled(p) == h for p in permutations(range(n)))
 
 
+@pytest.mark.parametrize("g", [
+    complete_graph(7),
+    Graph(7, [(0, v) for v in range(1, 7)]),
+    Graph(7, [(u, v) for u in range(3) for v in range(3, 7)]),
+    Graph(6),
+], ids=["K7", "K1,6", "K3,4", "edgeless-6"])
+def test_twin_swaps_leave_one_leaf(monkeypatch, g):
+    # Every cell of these graphs is a class of twins, so the swaps seeded at
+    # the root prune all leaves but the first; a search that finds the swaps
+    # only from equal leaves reaches 22, 16, 10 and 16 leaves.
+    import domlab.isomorphism as iso
+
+    leaves = []
+    encode = iso._encode
+
+    def counting(n, adj, lab):
+        leaves.append(lab)
+        return encode(n, adj, lab)
+
+    monkeypatch.setattr(iso, "_encode", counting)
+    gens = canonical_labeling(g)[1]
+    assert len(leaves) == 1
+    assert all(g.relabeled(p) == g for p in gens)
+
+
+def test_relabeled_order_8_labels_back(rng):
+    # the enumerator's representatives are canonical, so a relabeled copy of
+    # each must label back to it, whatever the twin swaps pruned
+    for g in all_graphs(8):
+        perm = list(range(8))
+        rng.shuffle(perm)
+        assert canonical_graph(g.relabeled(perm)) == g
+
+
 def test_induced_and_relabel():
     g = corona(path_graph(3))
     sub, labels = g.induced(mask_of([0, 1, 2]))
