@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .catalog import triangle_free_well_dominated_catalog
-from .graphs import Graph, iter_bits, mask_of, set_of
+from .graphs import Graph, is_connected, iter_bits, mask_of
 # canonical_key is not called here; perfbench/tracer.py patches it on this module.
 from .isomorphism import canonical_graph, canonical_key  # noqa: F401
 
@@ -70,8 +70,6 @@ def corona_decomposition(g: Graph) -> CoronaDecomposition | None:
             core_v, leaf_v = min(v, w), max(v, w)
             ambiguous = True
             used.add(leaf_v)
-            if core_v in matched_leaf:
-                return None
             matched_leaf[core_v] = leaf_v
         else:
             if w in matched_leaf:
@@ -88,8 +86,6 @@ def corona_decomposition(g: Graph) -> CoronaDecomposition | None:
 
 
 def is_corona_of_connected(g: Graph) -> bool:
-    from .graphs import is_connected
-
     dec = corona_decomposition(g)
     return dec is not None and is_connected(dec.core)
 

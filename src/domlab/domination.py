@@ -40,16 +40,17 @@ theorems ask for gamma, i and alpha of one graph many times, and without
 these two caches the 26 default sweeps run about 18% slower.
 
 The vertex-set predicates (minimal domination, maximal independence,
-private neighbors, open irredundance, 2-packing) share the kernel's
-dominated-once rule: ``_dominated_once`` builds N[S] and the mask of the
-vertices exactly one member dominates, with the kernel's update, and each
-predicate is one test on the two masks.
+private neighbors, open irredundance, 2-packing) and the greedy procedure
+share the kernel's dominated-once rule: ``_dominated_once`` builds N[S] and
+the mask of the vertices exactly one member dominates, with the kernel's
+update, and each predicate is one test on the two masks.
 
 The greedy procedure mirrors the classical one for well-dominated graphs:
 start from all vertices and drop each vertex, in the given order, whenever
-the remainder still dominates.  No asymptotic promise is made for it here;
-it is implemented for its behavioral guarantees (minimality, and constant
-output size on well-dominated graphs), not its running time.
+no vertex of its closed neighborhood is dominated exactly once.  No
+asymptotic promise is made for it here; it is implemented for its
+behavioral guarantees (minimality, and constant output size on
+well-dominated graphs), not its running time.
 """
 
 from __future__ import annotations
@@ -345,15 +346,11 @@ def _check_ordering(g: Graph, ordering) -> list[int]:
 def greedy_minimal_dominating(g: Graph, ordering) -> int:
     """Start from all vertices; drop each vertex, in order, whenever the
     remainder still dominates.  The result is a minimal dominating set."""
-    order = _check_ordering(g, ordering)
-    counts = [g.degree(v) + 1 for v in range(g.n)]  # dominators of v inside D
     d = g.full_mask
-    for v in order:
-        closed = g.adj[v] | 1 << v
-        if all(counts[u] >= 2 for u in iter_bits(closed)):
+    for v in _check_ordering(g, ordering):
+        # D - v still dominates when no vertex of N[v] is dominated once.
+        if not (g.adj[v] | 1 << v) & _dominated_once(g, d)[1]:
             d ^= 1 << v
-            for u in iter_bits(closed):
-                counts[u] -= 1
     return d
 
 

@@ -114,6 +114,16 @@ def _new_vertex_may_be_deleted(adj: tuple[int, ...], k: int) -> bool:
     return tuples[-1] == max(tuples)
 
 
+def check_orders(lo: int, hi: int, budget: int) -> None:
+    """Raise ValueError unless 1 <= lo <= hi <= min(budget, MAX_ORDER)."""
+    if budget < 1:
+        raise ValueError(f"enumeration budget must be at least 1, got {budget}")
+    top = min(budget, MAX_ORDER)
+    if not 1 <= lo <= hi <= top:
+        orders = f"order {lo}" if lo == hi else f"orders {lo}..{hi}"
+        raise ValueError(f"{orders} outside the enumeration budget 1..{top}")
+
+
 def connected_graphs(n: int, triangle_free: bool = False) -> list[Graph]:
     """Canonical representatives of the connected graphs on n vertices."""
     key = (n, triangle_free)
@@ -135,11 +145,7 @@ def enumerate_connected(
     Raises when n exceeds the budget (default 9) or MAX_ORDER; raise the
     budget explicitly for larger sweeps, at the cost of much longer runs.
     """
-    if budget < 1:
-        raise ValueError(f"enumeration budget must be at least 1, got {budget}")
-    top = min(budget, MAX_ORDER)
-    if not 1 <= n <= top:
-        raise ValueError(f"order {n} outside the enumeration budget 1..{top}")
+    check_orders(n, n, budget)
     yield from _load_or_build_connected(n, triangle_free, cache_dir)
 
 

@@ -9,7 +9,7 @@ which keeps the exhaustive sweeps fast without native extensions.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 #: Largest supported order; the short graph6 form encodes orders up to 62.
 MAX_ORDER = 62

@@ -3,6 +3,8 @@
 The product of g (order p) and h (order q) lives on p*q vertices with the
 row-major index map (a, b) -> a*q + b, which is fixed and exposed so layers
 and counterexample certificates can name product vertices stably.
+:func:`spread` is its block arithmetic: ``spread(s, q) * t`` is the vertex
+set s x t (t < 2**q, so there are no carries), for rows and witness sets.
 
 Edge rules for (a, b) ~ (c, d):
 
@@ -63,6 +65,16 @@ class ProductGraph:
         raise ValueError(f'which must be "first" or "second", got {which!r}')
 
 
+def spread(mask: int, step: int) -> int:
+    """Bit ``v * step`` for each bit v of ``mask``."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= 1 << (low.bit_length() - 1) * step
+        mask ^= low
+    return out
+
+
 def product(kind: str, g: Graph, h: Graph) -> ProductGraph:
     """Construct a product graph; the order p*q must stay within 62."""
     if kind not in PRODUCT_KINDS:
@@ -70,17 +82,8 @@ def product(kind: str, g: Graph, h: Graph) -> ProductGraph:
     p, q = g.n, h.n
     if p * q > MAX_ORDER:
         raise ValueError(f"product order {p * q} exceeds the cap {MAX_ORDER}")
-    # Block arithmetic: ones[a] has bit c*q for each neighbor c of a, so
-    # ones[a] * row copies a factor row (< 2**q) into those blocks with no
-    # carries; every has bit c*q for each c.
-    ones = []
-    for row in g.adj:
-        block = 0
-        while row:
-            low = row & -row
-            block |= 1 << (low.bit_length() - 1) * q
-            row ^= low
-        ones.append(block)
+    # every has bit c*q for each c.
+    ones = [spread(row, q) for row in g.adj]
     hfull = (1 << q) - 1
     every = ((1 << p * q) - 1) // hfull
     if kind == "cartesian":

@@ -3,10 +3,12 @@
 Each entry has a hypothesis filter (the statement's standing assumptions)
 and a conclusion predicate, plus an optional tag hook whose non-None
 results a sweep collects into its report.  Biconditional statements go
-through :func:`_iff`, which reports which direction failed.  Conclusions
-return an optional witness dictionary that goes into counterexample
-certificates; vertex sets are rendered as sorted index lists (product
-vertices use the row-major index map of :mod:`domlab.products`).
+through :func:`_iff`, which reports which direction failed; the product
+biconditionals (T2, T3, T4, LK2, DKN) all take one form, :func:`_wd_iff`,
+whose verdict and witness come from one well-dominated certificate.
+Conclusions return an optional witness dictionary that goes into
+counterexample certificates; vertex sets are rendered as sorted index lists
+(product vertices use the row-major index map of :mod:`domlab.products`).
 
 Pair implications whose conclusion or hypothesis speaks of the factors
 (T1, WCFACTOR, G4CART, DK, L3G, TV) test the factor side first and build
@@ -51,9 +53,9 @@ from .domination import (
     well_covered_certificate,
     well_dominated_certificate,
 )
-from .graphs import Graph, girth, is_connected, iter_bits, set_of
+from .graphs import Graph, girth, is_connected, set_of
 from .isomorphism import are_isomorphic
-from .products import cartesian, direct, disjunctive
+from .products import cartesian, direct, disjunctive, spread
 
 K1 = complete_graph(1)
 K2 = complete_graph(2)
@@ -98,29 +100,32 @@ def _fail(clause: str, **witness) -> Verdict:
     return Verdict("counterexample", clause, _sets(**witness))
 
 
-def _iff(lhs: bool, rhs: bool, lhs_only: str, rhs_only: str,
-         lhs_witness: Callable[[], dict] = dict,
-         rhs_witness: Callable[[], dict] = dict) -> Verdict:
+def _iff(lhs: bool, rhs: bool, lhs_only: str, rhs_only: str, rhs_witness: dict) -> Verdict:
     """Check ``lhs`` iff ``rhs``.  A failed direction reports its clause
-    (``lhs_only``: lhs without rhs) and builds its witness only then."""
+    (``lhs_only``: lhs without rhs); only ``rhs_only`` carries a witness."""
     if lhs == rhs:
         return HOLDS
     if lhs:
-        return Verdict("counterexample", lhs_only, lhs_witness())
-    return Verdict("counterexample", rhs_only, rhs_witness())
+        return Verdict("counterexample", lhs_only, {})
+    return Verdict("counterexample", rhs_only, rhs_witness)
+
+
+def _wd_iff(p: Graph, rhs: bool, lhs_only: str, rhs_only: str) -> Verdict:
+    """Check "``p`` is well-dominated" iff ``rhs`` on one certificate search.
+    A failed converse names the certificate's two minimal dominating sets of
+    different sizes (the smaller need not be minimum)."""
+    cert = well_dominated_certificate(p)
+    if cert is not None and rhs:
+        return _fail(rhs_only, minimal_dom_small=cert[0], minimal_dom_large=cert[1])
+    return _iff(cert is None, rhs, lhs_only, rhs_only, {})
 
 
 def _nontrivial(g: Graph) -> bool:
     return g.n >= 2
 
 
-def _wd_witness(g: Graph) -> dict:
-    # Two minimal dominating sets of different sizes; the smaller one need
-    # not be minimum.
-    cert = well_dominated_certificate(g)
-    if cert is None:
-        return {}
-    return _sets(minimal_dom_small=cert[0], minimal_dom_large=cert[1])
+def _c4_or_corona(g: Graph) -> bool:
+    return are_isomorphic(g, C4) or is_corona_of_connected(g)
 
 
 # -- single-graph conclusions -------------------------------------------------
@@ -151,7 +156,7 @@ def _chain(g: Graph) -> Verdict:
 def _prism(g: Graph) -> Verdict:
     p = cartesian(g, K2).graph
     if is_well_dominated(p) and not are_isomorphic(g, K2):
-        return _fail("prism well-dominated but base is not K2", **_wd_witness(p))
+        return _fail("prism well-dominated but base is not K2")
     return HOLDS
 
 
@@ -164,19 +169,16 @@ def _bc(g: Graph) -> Verdict:
 
 
 def _px(g: Graph) -> Verdict:
-    return _iff(2 * domination_number(g) == g.n,
-                are_isomorphic(g, C4) or is_corona_of_connected(g),
+    return _iff(2 * domination_number(g) == g.n, _c4_or_corona(g),
                 "gamma = n/2 but neither a 4-cycle nor a corona of a connected graph",
                 "4-cycle or corona of a connected graph with gamma != n/2",
-                rhs_witness=lambda: {"gamma": domination_number(g), "order": g.n})
+                {"gamma": domination_number(g), "order": g.n})
 
 
 def _lk2(g: Graph) -> Verdict:
-    p = direct(g, K2).graph
-    return _iff(is_well_dominated(p), are_isomorphic(g, C4) or is_corona_of_connected(g),
-                "direct product with K2 well-dominated but base has the wrong shape",
-                "4-cycle or corona, but direct product with K2 not well-dominated",
-                rhs_witness=lambda: _wd_witness(p))
+    return _wd_iff(direct(g, K2).graph, _c4_or_corona(g),
+                   "direct product with K2 well-dominated but base has the wrong shape",
+                   "4-cycle or corona, but direct product with K2 not well-dominated")
 
 
 def _l2p(g: Graph) -> Verdict:
@@ -193,8 +195,7 @@ def _l2p(g: Graph) -> Verdict:
 def _lk3(g: Graph) -> Verdict:
     p = direct(g, K3).graph
     if is_well_dominated(p) and not are_isomorphic(g, K3):
-        return _fail("direct product with K3 well-dominated but base is not K3",
-                     **_wd_witness(p))
+        return _fail("direct product with K3 well-dominated but base is not K3")
     return HOLDS
 
 
@@ -220,7 +221,7 @@ def _tf11(g: Graph) -> Verdict:
     return _iff(is_well_dominated(g) and domination_number(g) <= 3, tag is not None,
                 "well-dominated with gamma <= 3 but outside the eleven-graph catalog",
                 "catalog member that is not well-dominated with gamma <= 3",
-                lambda: _wd_witness(g), lambda: {"tag": tag})
+                {"tag": tag})
 
 
 def _g5wd(g: Graph) -> Verdict:
@@ -257,30 +258,26 @@ def _t1(pair) -> Verdict:
 
 def _t2(pair) -> Verdict:
     g, h = pair
-    p = cartesian(g, h).graph
-    return _iff(is_well_dominated(p), are_isomorphic(g, K2) and are_isomorphic(h, K2),
-                "triangle-free product well-dominated with a factor other than K2",
-                "K2 box K2 not recognized as well-dominated",
-                rhs_witness=lambda: _wd_witness(p))
+    return _wd_iff(cartesian(g, h).graph, are_isomorphic(g, K2) and are_isomorphic(h, K2),
+                   "triangle-free product well-dominated with a factor other than K2",
+                   "K2 box K2 not recognized as well-dominated")
 
 
 def _t3_rhs(g: Graph, h: Graph) -> bool:
     if are_isomorphic(g, K3) and are_isomorphic(h, K3):
         return True
-    if are_isomorphic(g, K2) and (are_isomorphic(h, C4) or is_corona_of_connected(h)):
+    if are_isomorphic(g, K2) and _c4_or_corona(h):
         return True
-    if are_isomorphic(h, K2) and (are_isomorphic(g, C4) or is_corona_of_connected(g)):
+    if are_isomorphic(h, K2) and _c4_or_corona(g):
         return True
     return False
 
 
 def _t3(pair) -> Verdict:
     g, h = pair
-    p = direct(g, h).graph
-    return _iff(is_well_dominated(p), _t3_rhs(g, h),
-                "direct product well-dominated outside the characterized shapes",
-                "characterized shape with a direct product that is not well-dominated",
-                rhs_witness=lambda: _wd_witness(p))
+    return _wd_iff(direct(g, h).graph, _t3_rhs(g, h),
+                   "direct product well-dominated outside the characterized shapes",
+                   "characterized shape with a direct product that is not well-dominated")
 
 
 def _t4_rhs(g: Graph, h: Graph) -> bool:
@@ -293,12 +290,10 @@ def _t4_rhs(g: Graph, h: Graph) -> bool:
 
 def _t4(pair) -> Verdict:
     g, h = pair
-    p = disjunctive(g, h).graph
-    return _iff(is_well_dominated(p), _t4_rhs(g, h),
-                "disjunctive product well-dominated without the complete-factor shape",
-                "complete factor with small-gamma well-dominated mate, "
-                "but the disjunctive product is not well-dominated",
-                rhs_witness=lambda: _wd_witness(p))
+    return _wd_iff(disjunctive(g, h).graph, _t4_rhs(g, h),
+                   "disjunctive product well-dominated without the complete-factor shape",
+                   "complete factor with small-gamma well-dominated mate, "
+                   "but the disjunctive product is not well-dominated")
 
 
 def _ub3(pair) -> Verdict:
@@ -374,11 +369,9 @@ def _dind(pair) -> Verdict:
     q = h.n
     j_sets = list(_iter_maximal_independent(h))
     for i_set in _iter_maximal_independent(g):
-        spread = 0  # bit a*q per a in i_set; spread * j_set has no carries
-        for a in iter_bits(i_set):
-            spread |= 1 << a * q
+        block = spread(i_set, q)
         for j_set in j_sets:
-            prod_set = spread * j_set
+            prod_set = block * j_set
             if not is_maximal_independent(p, prod_set):
                 return _fail("product of maximal independent sets is not "
                              "maximal independent in the disjunctive product",
@@ -395,13 +388,11 @@ def _dtot(pair) -> Verdict:
     for fixed, other, fixed_step, set_step in ((g, h, q, 1), (h, g, 1, q)):
         uni = universal_vertices(fixed)
         for t_set in _iter_minimal_total_dominating(other):
-            spread = 0
-            for b in iter_bits(t_set):
-                spread |= 1 << b * set_step
+            block = spread(t_set, set_step)
             for v in range(fixed.n):
                 if uni >> v & 1:
                     continue
-                prod_set = spread << v * fixed_step
+                prod_set = block << v * fixed_step
                 if not is_minimal_dominating(p, prod_set):
                     return _fail("fixed-vertex copy of a minimal total dominating set "
                                  "is not a minimal dominating set of the disjunctive product",
@@ -420,13 +411,11 @@ def _dne(pair) -> Verdict:
 
 def _dkn(pair) -> Verdict:
     g, h = pair
-    p = disjunctive(g, h).graph
-    return _iff(is_well_dominated(p), is_well_dominated(h) and domination_number(h) <= 2,
-                "disjunctive product with a complete factor well-dominated "
-                "while the mate is not well-dominated with gamma <= 2",
-                "well-dominated mate with gamma <= 2 but the disjunctive "
-                "product is not well-dominated",
-                rhs_witness=lambda: _wd_witness(p))
+    return _wd_iff(disjunctive(g, h).graph, is_well_dominated(h) and domination_number(h) <= 2,
+                   "disjunctive product with a complete factor well-dominated "
+                   "while the mate is not well-dominated with gamma <= 2",
+                   "well-dominated mate with gamma <= 2 but the disjunctive "
+                   "product is not well-dominated")
 
 
 def _e1(pair) -> Verdict:

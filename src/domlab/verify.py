@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from multiprocessing import get_context
 from pathlib import Path
 
-from .enumeration import DEFAULT_BUDGET, enumerate_connected
+from .enumeration import DEFAULT_BUDGET, check_orders, enumerate_connected
 from .graph6 import load_graph6_file, parse_graph6, to_graph6  # noqa: F401
 from .graphs import MAX_ORDER, Graph, is_triangle_free
 from .classify import classify_small_triangle_free  # noqa: F401
@@ -46,12 +46,10 @@ class CorpusSpec:
     budget: int = DEFAULT_BUDGET
 
     def __post_init__(self) -> None:
-        if self.budget < 1:
-            raise ValueError(f"enumeration budget must be at least 1, got {self.budget}")
-        top = min(self.budget, MAX_ORDER)
-        if self.path is None and not 1 <= self.min_order <= self.max_order <= top:
-            raise ValueError(f"orders {self.min_order}..{self.max_order} outside "
-                             f"the enumeration budget 1..{top}")
+        if self.path is None:
+            check_orders(self.min_order, self.max_order, self.budget)
+        else:  # a file corpus has no orders, but a bad budget is still bad input
+            check_orders(1, 1, self.budget)
 
     def describe(self) -> str:
         if self.path is not None:
@@ -147,17 +145,7 @@ class VerificationReport:
     details: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "theorem": self.theorem,
-            "corpus": self.corpus,
-            "scanned": self.scanned,
-            "holds": self.holds,
-            "hypothesis_not_met": self.hypothesis_not_met,
-            "counterexample_count": self.counterexample_count,
-            "counterexamples": self.counterexamples,
-            "elapsed_ms": self.elapsed_ms,
-            "details": self.details,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -12,7 +14,7 @@ from domlab.domination import (
 from domlab.classify import universal_vertices
 from domlab.graphs import Graph, iter_bits, mask_of
 from domlab import theorems
-from domlab.products import direct, disjunctive
+from domlab.products import cartesian, direct, disjunctive
 from domlab.theorems import THEOREMS, Verdict, check_instance
 from domlab.verify import DEFAULT_CORPORA, CorpusSpec, PairCorpusSpec, _instances, verify_corpus
 
@@ -179,17 +181,81 @@ def test_lk2_converse_on_coronas(rng):
 
 def test_wd_witness_sets_are_minimal_not_minimum():
     from domlab.domination import domination_number
-    from domlab.theorems import _wd_witness
 
     # The double star: not well-covered, so the certificate is the greedy
     # pair {2, 3, 5} and {0, 1, 2, 3}, while gamma is 2 ({4, 5}).
     g = Graph(6, [(0, 5), (1, 5), (2, 4), (3, 4), (4, 5)])
-    witness = _wd_witness(g)
+    verdict = theorems._wd_iff(g, True, "lhs only", "rhs only")
+    assert verdict.status == "counterexample" and verdict.clause == "rhs only"
+    witness = verdict.witness
     small, large = witness["minimal_dom_small"], witness["minimal_dom_large"]
     assert is_minimal_dominating(g, mask_of(small))
     assert is_minimal_dominating(g, mask_of(large))
     assert len(small) != len(large)
     assert domination_number(g) < len(small)
+
+
+# Each product biconditional: the product it decides, and patches on
+# ``theorems`` that make its right-hand side true on every instance.
+WD_IFF = {
+    "T2": (lambda g, h: cartesian(g, h).graph, {"are_isomorphic": lambda a, b: True}),
+    "T3": (lambda g, h: direct(g, h).graph, {"are_isomorphic": lambda a, b: True}),
+    "T4": (lambda g, h: disjunctive(g, h).graph,
+           {"is_complete": lambda x: True, "is_well_dominated": lambda x: True,
+            "domination_number": lambda x: 0}),
+    "LK2": (lambda g: direct(g, K2).graph, {"are_isomorphic": lambda a, b: True}),
+    "DKN": (lambda g, h: disjunctive(g, h).graph,
+            {"is_well_dominated": lambda x: True, "domination_number": lambda x: 0}),
+}
+
+
+@pytest.mark.parametrize("tid", sorted(WD_IFF))
+def test_product_biconditional_witness_per_direction(monkeypatch, tid):
+    build, rhs_true = WD_IFF[tid]
+    corpus = CorpusSpec(2, 6) if tid == "LK2" else DEFAULT_CORPORA[tid]
+    instances = [x for x in _instances(tid, corpus, None) if THEOREMS[tid].hypothesis(x)]
+
+    # Right-only: with the shape forced, every product that is not
+    # well-dominated fails with two minimal dominating sets of it.
+    with monkeypatch.context() as m:
+        for name, fake in rhs_true.items():
+            m.setattr(theorems, name, fake)
+        right = [(x, v) for x in instances
+                 if (v := check_instance(tid, x)).status == "counterexample"]
+    assert right
+    for x, v in right:
+        p = build(*x) if isinstance(x, tuple) else build(x)
+        assert v.witness.keys() == {"minimal_dom_small", "minimal_dom_large"}
+        small, large = v.witness["minimal_dom_small"], v.witness["minimal_dom_large"]
+        assert is_minimal_dominating(p, mask_of(small))
+        assert is_minimal_dominating(p, mask_of(large))
+        assert len(small) < len(large)
+
+    # Left-only: with every product read as well-dominated, an instance of
+    # the wrong shape fails with no witness.
+    monkeypatch.setattr(theorems, "well_dominated_certificate", lambda p: None)
+    left = [v for x in instances if (v := check_instance(tid, x)).status == "counterexample"]
+    assert left and all(v.witness == {} for v in left)
+    assert len({v.clause for v in left}) == len({v.clause for _, v in right}) == 1
+    assert left[0].clause != right[0][1].clause
+
+
+def test_forced_wrong_shape_predicates_digest(monkeypatch):
+    # The nine theorems that read the shape predicates, with each predicate
+    # negated: every verdict, clause and witness is pinned by one digest.
+    for name in ("are_isomorphic", "is_corona_of_connected", "is_complete"):
+        real = getattr(theorems, name)
+        monkeypatch.setattr(theorems, name, lambda *a, real=real: not real(*a))
+    digest = hashlib.sha256()
+    scanned = counterexamples = 0
+    for tid in ("T2", "T3", "T4", "LK2", "PX", "PRISM", "LK3", "DKN", "TF11"):
+        for x in _instances(tid, DEFAULT_CORPORA[tid], None):
+            v = check_instance(tid, x)
+            digest.update(json.dumps([tid, v.status, v.clause, v.witness]).encode())
+            scanned += 1
+            counterexamples += v.status == "counterexample"
+    assert (scanned, counterexamples, digest.hexdigest()) == (
+        49988, 24700, "24da16ba5da365fd8dc7053a5067423c0f6e65f603a0e2b7d5130a352d329d34")
 
 
 # -- factor-first conclusions against the product-first formulas ---------------

@@ -3,7 +3,10 @@ import json
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from domlab import verify
 from domlab.catalog import complete_graph, cycle_graph, path_graph
 from domlab.graph6 import save_graph6_file, to_graph6
 from domlab.graphs import MAX_ORDER
@@ -88,6 +91,33 @@ def test_missing_file_corpus_errors(tmp_path):
 def test_budget_guard():
     with pytest.raises(ValueError):
         verify_corpus("CHAIN", CorpusSpec(1, 10))
+
+
+class _Enumerated(Exception):
+    pass
+
+
+def _enumerated(*args, **kwargs):
+    raise _Enumerated
+
+
+# Small values and values around MAX_ORDER = 62, at both ends of each range.
+_orders = st.integers(-1, 10) | st.integers(60, 64)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(min_order=_orders, max_order=_orders, budget=_orders, cap=st.integers(-1, 2),
+       workers=st.integers(0, 3), product_cap=_orders)
+def test_out_of_range_sweep_input_fails_before_enumeration(
+        min_order, max_order, budget, cap, workers, product_cap):
+    in_range = (budget >= 1 and 1 <= min_order <= max_order <= min(budget, MAX_ORDER)
+                and 1 <= product_cap <= MAX_ORDER and workers >= 1 and cap >= 0)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(verify, "enumerate_connected", _enumerated)
+        with pytest.raises(_Enumerated if in_range else ValueError):
+            spec = CorpusSpec(min_order, max_order, budget=budget)
+            verify_corpus("UB3", PairCorpusSpec(spec, spec, product_cap),
+                          workers=workers, cap=cap)
 
 
 def test_arity_mismatch_between_corpus_and_theorem():
