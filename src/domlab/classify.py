@@ -1,13 +1,19 @@
 """Structural recognizers: coronas, basic 5-cycles, the pendant/5-cycle
 partition, and membership in the eleven-graph triangle-free family.
 
-A 5-cycle is *basic* when it contains no two adjacent vertices of degree 3
-or more (degrees measured in the whole graph).  A graph admits a
-pendant/5-cycle partition when its vertex set splits into P, the vertices on
-pendant edges (which must form a perfect matching of P), and C, covered
-exactly by vertex-disjoint basic 5-cycles.  A vertex lying both on a pendant
-edge and on a basic 5-cycle is assigned to P; the partition is then flagged
-ambiguous.
+A *corona* gives each core vertex exactly one pendant leaf.  One pass maps
+each degree-1 vertex's neighbour (in a K2 component, the lower end) to it as
+its core.  Cores and leaves are disjoint, so they cover the graph exactly
+when the map has n/2 entries; a second leaf on one core overwrites the
+first, and the lost leaf leaves the map short.
+
+A 5-cycle is *basic* when no two adjacent vertices on it have degree 3 or
+more in the whole graph: no vertex of the cycle's mask of such heavy
+vertices has a heavy neighbour in that mask.  A pendant/5-cycle partition
+splits the vertices into P, the vertices on pendant edges (which must form a
+perfect matching of P), and C, covered exactly by vertex-disjoint basic
+5-cycles.  A vertex on both a pendant edge and a basic 5-cycle goes to P,
+and the partition is then flagged ambiguous.
 """
 
 from __future__ import annotations
@@ -24,11 +30,7 @@ from .isomorphism import canonical_graph, canonical_key  # noqa: F401
 def universal_vertices(g: Graph) -> int:
     """Vertices adjacent to every other vertex."""
     full = g.full_mask
-    out = 0
-    for v in range(g.n):
-        if g.adj[v] | 1 << v == full:
-            out |= 1 << v
-    return out
+    return mask_of(v for v, row in enumerate(g.adj) if row | 1 << v == full)
 
 
 def is_complete(g: Graph) -> bool:
@@ -54,35 +56,22 @@ class CoronaDecomposition:
 
 def corona_decomposition(g: Graph) -> CoronaDecomposition | None:
     """Recognize g as (core with one pendant leaf per core vertex), if possible."""
-    degs = [g.degree(v) for v in range(g.n)]
-    if 0 in degs:
-        return None
-    leaves = [v for v in range(g.n) if degs[v] == 1]
-    matched_leaf = {}  # core vertex -> its leaf
-    leaf_set = set(leaves)
+    adj = g.adj
+    leaf_of = {}  # core vertex -> its leaf
     ambiguous = False
-    used = set()
-    for v in leaves:
-        if v in used:
-            continue
-        w = g.adj[v].bit_length() - 1  # the unique neighbor
-        if w in leaf_set:  # K2 component: lower index becomes the core
-            core_v, leaf_v = min(v, w), max(v, w)
-            ambiguous = True
-            used.add(leaf_v)
-            matched_leaf[core_v] = leaf_v
-        else:
-            if w in matched_leaf:
-                return None  # two leaves hang from one core vertex
-            matched_leaf[w] = v
-            used.add(v)
-    core_vertices = [v for v in range(g.n) if v not in used]
-    if any(v not in matched_leaf for v in core_vertices):
-        return None  # some core vertex has no pendant copy
-    core_mask = mask_of(core_vertices)
-    core, labels = g.induced(core_mask)
-    matching = tuple((v, matched_leaf[v]) for v in labels)
-    return CoronaDecomposition(core, labels, matching, ambiguous)
+    for v, row in enumerate(adj):
+        if not row or row & (row - 1):
+            continue  # isolated, or of degree 2 or more
+        w = row.bit_length() - 1
+        if adj[w] == 1 << v:  # K2 component: the lower end is the core
+            if w < v:
+                continue
+            v, w, ambiguous = w, v, True
+        leaf_of[w] = v
+    if 2 * len(leaf_of) != g.n:
+        return None  # a vertex is isolated, uncovered, or a core's second leaf
+    core, labels = g.induced(mask_of(leaf_of))  # the keys are the cores
+    return CoronaDecomposition(core, labels, tuple((v, leaf_of[v]) for v in labels), ambiguous)
 
 
 def is_corona_of_connected(g: Graph) -> bool:
@@ -96,32 +85,29 @@ def is_corona_of_connected(g: Graph) -> bool:
 def five_cycles(g: Graph) -> list[tuple[int, ...]]:
     """All 5-cycles, each reported once as (a, b, c, d, e) with ``a`` the
     least vertex and ``b < e``; sorted."""
+    adj = g.adj
     out = []
-    n = g.n
-    for a in range(n):
-        above = ~((1 << (a + 1)) - 1)
-        for b in iter_bits(g.adj[a] & above):
-            for c in iter_bits(g.adj[b] & above):
-                for d in iter_bits(g.adj[c] & above & ~mask_of((b, c))):
-                    for e in iter_bits(g.adj[d] & g.adj[a] & above & ~mask_of((b, c, d))):
+    for a in range(g.n):
+        above = -1 << (a + 1)
+        for b in iter_bits(adj[a] & above):
+            for c in iter_bits(adj[b] & above):
+                for d in iter_bits(adj[c] & above & ~(1 << b)):
+                    for e in iter_bits(adj[d] & adj[a] & above & ~(1 << b | 1 << c)):
                         if b < e:
                             out.append((a, b, c, d, e))
     return sorted(out)
 
 
-def is_basic_five_cycle(g: Graph, cycle: tuple[int, ...]) -> bool:
-    """No two adjacent vertices of the cycle both have degree >= 3."""
-    heavy = [v for v in cycle if g.degree(v) >= 3]
-    for i, u in enumerate(heavy):
-        for v in heavy[i + 1:]:
-            if g.has_edge(u, v):
-                return False
-    return True
-
-
 def basic_five_cycles(g: Graph) -> list[tuple[int, ...]]:
     """All basic 5-cycles, in the deterministic order of :func:`five_cycles`."""
-    return [c for c in five_cycles(g) if is_basic_five_cycle(g, c)]
+    adj = g.adj
+    heavy = mask_of(v for v, row in enumerate(adj) if row.bit_count() >= 3)
+    out = []
+    for cyc in five_cycles(g):
+        m = mask_of(cyc) & heavy
+        if not any(adj[v] & m for v in cyc if m >> v & 1):
+            out.append(cyc)
+    return out
 
 
 @dataclass(frozen=True)
@@ -138,72 +124,46 @@ class PCPartition:
 def pc_partition(g: Graph) -> PCPartition | None:
     """The pendant/5-cycle partition, or None when no valid one exists.
 
-    Pendant edges are forced first; the remainder must then be exactly
-    covered by vertex-disjoint basic 5-cycles, found by backtracking.
+    Pendant edges are forced first; a depth-first search on a stack then
+    covers the rest by disjoint basic 5-cycles, tried in their listed order.
     """
-    pendant_edges = []
-    for u, v in g.edges():
-        if g.degree(u) == 1 or g.degree(v) == 1:
-            pendant_edges.append((u, v))
+    leaves = mask_of(v for v, row in enumerate(g.adj) if row.bit_count() == 1)
     p_mask = 0
-    for u, v in pendant_edges:
-        if p_mask & (1 << u) or p_mask & (1 << v):
-            return None  # pendant edges overlap: no perfect matching of P
-        p_mask |= 1 << u | 1 << v
+    matching = []
+    for u, v in g.edges():
+        if (leaves >> u | leaves >> v) & 1:
+            if p_mask & (1 << u | 1 << v):
+                return None  # pendant edges overlap: no perfect matching of P
+            p_mask |= 1 << u | 1 << v
+            matching.append((u, v) if leaves >> v & 1 else (v, u))
     c_mask = g.full_mask & ~p_mask
     cycles = basic_five_cycles(g)
-    ambiguous = any(mask_of(c) & p_mask for c in cycles)
-    usable = [c for c in cycles if not mask_of(c) & p_mask]
-
-    chosen: list[tuple[int, ...]] = []
-
-    def cover(remaining: int) -> bool:
+    usable = [(c, m) for c in cycles if not (m := mask_of(c)) & p_mask]
+    stack = [(c_mask, ())]
+    while stack:
+        remaining, chosen = stack.pop()
         if not remaining:
-            return True
-        u = (remaining & -remaining).bit_length() - 1
-        for cyc in usable:
-            m = mask_of(cyc)
-            if m & (1 << u) and m & remaining == m:
-                chosen.append(cyc)
-                if cover(remaining & ~m):
-                    return True
-                chosen.pop()
-        return False
-
-    if not cover(c_mask):
-        return None
-    matching = tuple(
-        (u, v) if g.degree(v) == 1 else (v, u) for u, v in pendant_edges
-    )
-    return PCPartition(p_mask, c_mask, matching, tuple(chosen), ambiguous)
-
-
-def _edges_between(g: Graph, m1: int, m2: int) -> list[tuple[int, int]]:
-    out = []
-    for u in iter_bits(m1):
-        for v in iter_bits(g.adj[u] & m2):
-            out.append((u, v))
-    return out
-
-
-def cycle_pair_link_ok(g: Graph, cyc1: tuple[int, ...], cyc2: tuple[int, ...]) -> bool:
-    """The two 5-cycles are joined by no edge, exactly two vertex-disjoint
-    edges, or exactly four edges."""
-    edges = _edges_between(g, mask_of(cyc1), mask_of(cyc2))
-    if len(edges) == 0 or len(edges) == 4:
-        return True
-    if len(edges) == 2:
-        (a, b), (c, d) = edges
-        return a != c and b != d
-    return False
+            return PCPartition(p_mask, c_mask, tuple(matching), chosen,
+                               len(usable) < len(cycles))
+        low = remaining & -remaining
+        stack.extend((remaining ^ m, chosen + (c,))
+                     for c, m in reversed(usable) if m & low and m & remaining == m)
+    return None
 
 
 def _cycle_pairs_ok(g: Graph, cycles) -> bool:
-    return all(
-        cycle_pair_link_ok(g, c1, c2)
-        for i, c1 in enumerate(cycles)
-        for c2 in cycles[i + 1:]
-    )
+    """Every pair is joined by no edge, two vertex-disjoint edges or four
+    edges.  Row ``adj[u] & other`` holds the edges from u on the first cycle;
+    two edges are disjoint when they sit in two rows that differ."""
+    adj = g.adj
+    masks = [mask_of(c) for c in cycles]
+    for i, cyc in enumerate(cycles):
+        for other in masks[i + 1:]:
+            rows = [row for u in cyc if (row := adj[u] & other)]
+            edges = sum(row.bit_count() for row in rows)
+            if edges not in (0, 4) and not (edges == len(rows) == 2 and rows[0] != rows[1]):
+                return False
+    return True
 
 
 def check_pc_well_dominated(g: Graph, pc: PCPartition) -> bool:
@@ -224,10 +184,7 @@ def all_basic_cycle_pairs_ok(g: Graph) -> bool:
 
 @lru_cache(maxsize=1)
 def _family_keys() -> dict[Graph, str]:
-    return {
-        canonical_graph(graph): tag
-        for tag, graph in triangle_free_well_dominated_catalog().items()
-    }
+    return {canonical_graph(h): tag for tag, h in triangle_free_well_dominated_catalog().items()}
 
 
 NOT_MEMBER = "not-member"

@@ -319,6 +319,8 @@ def _cmd_verify(args) -> int:
     tid = args.theorem
     if tid not in THEOREMS:
         raise CliError(f"unknown theorem id {tid!r}; see verify --list")
+    if args.corpus is not None and (args.min_order, args.max_order) != (None, None):
+        raise CliError("--min-order and --max-order do not apply to a --corpus file")
     from .verify import DEFAULT_CORPORA
 
     default = DEFAULT_CORPORA[tid]

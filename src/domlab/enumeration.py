@@ -142,10 +142,15 @@ def enumerate_connected(
     """Stream one representative per isomorphism class of connected graphs of
     order n, in deterministic order.
 
-    Raises when n exceeds the budget (default 9) or MAX_ORDER; raise the
-    budget explicitly for larger sweeps, at the cost of much longer runs.
+    Raises at the call when n exceeds the budget (default 9) or MAX_ORDER;
+    raise the budget explicitly for larger sweeps, at the cost of much longer
+    runs.  The corpus is loaded or built at the first ``next()``.
     """
     check_orders(n, n, budget)
+    return _stream(n, triangle_free, cache_dir)
+
+
+def _stream(n: int, triangle_free: bool, cache_dir: str | Path | None) -> Iterator[Graph]:
     yield from _load_or_build_connected(n, triangle_free, cache_dir)
 
 

@@ -250,3 +250,92 @@ def product_adjacency(kind: str, g: Graph, h: Graph) -> list[int]:
         if edge:
             rows[a * q + b] |= 1 << (c * q + d)
     return rows
+
+
+# -- structure recognizers, from their definitions -------------------------------
+
+
+def five_cycles(g: Graph) -> list[tuple[int, ...]]:
+    """Every 5-cycle once, as (a, b, c, d, e) with a the least vertex and
+    b < e, by trying in every order each 5-subset in which every vertex has
+    two neighbours; sorted."""
+    out = []
+    for vs in itertools.combinations(range(g.n), 5):
+        if any(sum(g.has_edge(v, u) for u in vs) < 2 for v in vs):
+            continue
+        a = vs[0]
+        for b, c, d, e in itertools.permutations(vs[1:]):
+            if b < e and all(g.has_edge(x, y) for x, y in
+                             ((a, b), (b, c), (c, d), (d, e), (e, a))):
+                out.append((a, b, c, d, e))
+    return sorted(out)
+
+
+def is_basic(g: Graph, cycle) -> bool:
+    """No two vertices of the cycle of degree >= 3 are adjacent."""
+    heavy = [v for v in cycle if g.degree(v) >= 3]
+    return not any(g.has_edge(u, v) for u, v in itertools.combinations(heavy, 2))
+
+
+def corona_decompositions(g: Graph) -> list[tuple]:
+    """Every (core vertices, (core, leaf) matching) of g as a corona: a set
+    of n/2 leaves, each of degree 1, whose neighbours are the other n/2
+    vertices, one leaf each."""
+    out = []
+    if g.n % 2:
+        return out
+    for leaves in itertools.combinations(range(g.n), g.n // 2):
+        if any(g.degree(v) != 1 for v in leaves):
+            continue
+        support = {next(iter_bits(g.adj[v])): v for v in leaves}
+        core = tuple(v for v in range(g.n) if v not in leaves)
+        if sorted(support) == list(core):
+            out.append((core, tuple((v, support[v]) for v in core)))
+    return out
+
+
+def is_corona_of_connected(g: Graph) -> bool:
+    """Some corona decomposition whose core induces a connected graph
+    (networkx)."""
+    import networkx as nx
+
+    decompositions = corona_decompositions(g)
+    if not decompositions:
+        return False
+    core = decompositions[0][0]  # every decomposition has an isomorphic core
+    h = nx.Graph()
+    h.add_nodes_from(core)
+    h.add_edges_from((u, v) for u, v in g.edges() if u in core and v in core)
+    return nx.is_connected(h)
+
+
+def pc_partitions(g: Graph, basic):
+    """(P, C, pendant matching, covers) of the pendant/5-cycle partition, or
+    None when the pendant edges do not form a perfect matching of P.  P is
+    every vertex on a pendant edge, the matching lists (support, leaf) per
+    pendant edge, and covers are the sets of vertex-disjoint cycles of
+    ``basic`` (the basic 5-cycles of g) avoiding P whose union is C, each
+    found among the subsets of those cycles."""
+    pendant = [(u, v) for u, v in g.edges() if g.degree(u) == 1 or g.degree(v) == 1]
+    ends = [x for edge in pendant for x in edge]
+    if len(ends) != len(set(ends)):
+        return None
+    p = set(ends)
+    c = sorted(set(range(g.n)) - p)
+    usable = [cyc for cyc in basic if not p & set(cyc)]
+    covers = [
+        set(subset) for subset in itertools.combinations(usable, len(c) // 5)
+        if sorted(x for cyc in subset for x in cyc) == c
+    ]
+    matching = [(u, v) if g.degree(v) == 1 else (v, u) for u, v in pendant]
+    return p, set(c), matching, covers
+
+
+def cycle_pair_ok(g: Graph, c1, c2) -> bool:
+    """The 0/2/4 condition: the list of edges from c1 to c2 has no edge, two
+    edges with no end in common, or four edges."""
+    edges = [(u, v) for u in c1 for v in c2 if g.has_edge(u, v)]
+    if len(edges) == 2:
+        (a, b), (c, d) = edges
+        return a != c and b != d
+    return len(edges) in (0, 4)

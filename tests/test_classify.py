@@ -1,3 +1,7 @@
+import hashlib
+import itertools
+import json
+
 import pytest
 
 from domlab.catalog import (
@@ -21,9 +25,12 @@ from domlab.classify import (
     universal_vertices,
 )
 from domlab.domination import domination_number, is_well_dominated
+from domlab.enumeration import all_graphs
+from domlab.graph6 import to_graph6
 from domlab.graphs import Graph, mask_of, set_of
 from domlab.isomorphism import are_isomorphic
 
+import bruteforce
 from conftest import random_connected_graph
 
 
@@ -156,3 +163,90 @@ def test_half_order_domination_characterization_exhaustive():
             lhs = 2 * domination_number(g) == g.n
             rhs = are_isomorphic(g, cycle_graph(4)) or is_corona_of_connected(g)
             assert lhs == rhs, g
+
+
+# -- every recognizer output over one fixed graph set ----------------------------
+
+
+def _pentagon_chain(k: int, links) -> Graph:
+    """Pentagons 5i..5i+4 (i < k), pentagon i joined to pentagon i + 1 by the
+    edges (5i + a, 5i + 5 + b) for (a, b) in links."""
+    edges = [(5 * i + j, 5 * i + (j + 1) % 5) for i in range(k) for j in range(5)]
+    edges += [(5 * i + a, 5 * i + 5 + b) for i in range(k - 1) for a, b in links]
+    return Graph(5 * k, edges)
+
+
+def recognizer_graphs() -> list[Graph]:
+    """Every graph of order <= 7, connected or not, the five special graphs,
+    coronas of paths and cycles, and chains of two or three pentagons joined
+    by one edge, two disjoint edges or two edges sharing an end on either
+    pentagon."""
+    graphs = [g for n in range(1, 8) for g in all_graphs(n)]
+    graphs += [special_graph(name) for name in ("P10", "H1", "H2", "H3", "H4")]
+    graphs += [corona(path_graph(k)) for k in range(1, 7)]
+    graphs += [corona(cycle_graph(k)) for k in range(3, 7)]
+    for links in ([(0, 0)], [(0, 0), (2, 2)], [(0, 0), (0, 2)], [(0, 0), (2, 0)]):
+        graphs += [_pentagon_chain(k, links) for k in (2, 3)]
+    return graphs
+
+
+def test_recognizer_outputs_digest():
+    # Every field of every recognizer over recognizer_graphs(), pinned by one
+    # digest computed before the recognizers moved onto bitmasks.
+    digest = hashlib.sha256()
+    graphs = recognizer_graphs()
+    for g in graphs:
+        dec = corona_decomposition(g)
+        pc = pc_partition(g)
+        row = [
+            to_graph6(g), universal_vertices(g), classify_small_triangle_free(g),
+            five_cycles(g), basic_five_cycles(g), all_basic_cycle_pairs_ok(g),
+            is_corona_of_connected(g),
+            dec and [to_graph6(dec.core), dec.core_vertices, dec.matching, dec.ambiguous],
+            pc and [pc.p_mask, pc.c_mask, pc.pendant_matching, pc.basic_cycles,
+                    pc.ambiguous, check_pc_well_dominated(g, pc)],
+        ]
+        digest.update(json.dumps(row).encode())
+    assert (len(graphs), digest.hexdigest()) == (
+        1275, "f780de1330bf545364aa5385c2c0c4c8efb5b5096db4ea716697fbcee21c54e5")
+
+
+def assert_matches_oracle(g: Graph) -> None:
+    """Every recognizer of g against its definition in tests/bruteforce.py."""
+    cycles = bruteforce.five_cycles(g)
+    assert five_cycles(g) == cycles, g
+    basic = [c for c in cycles if bruteforce.is_basic(g, c)]
+    assert basic_five_cycles(g) == basic, g
+    assert all_basic_cycle_pairs_ok(g) == all(
+        bruteforce.cycle_pair_ok(g, c1, c2) for c1, c2 in itertools.combinations(basic, 2)), g
+
+    decs = bruteforce.corona_decompositions(g)
+    dec = corona_decomposition(g)
+    assert (dec is None) == (not decs), g
+    if dec is not None:
+        # a K2 component is the only freedom, and its lower end is the core
+        assert (dec.core_vertices, dec.matching) == min(decs), g
+        assert dec.ambiguous == (len(decs) > 1), g
+        cv = dec.core_vertices
+        assert dec.core.n == len(cv) and all(
+            dec.core.has_edge(i, j) == g.has_edge(cv[i], cv[j])
+            for i, j in itertools.combinations(range(len(cv)), 2)), g
+    assert is_corona_of_connected(g) == bruteforce.is_corona_of_connected(g), g
+
+    oracle = bruteforce.pc_partitions(g, basic)
+    pc = pc_partition(g)
+    assert (pc is None) == (oracle is None or not oracle[3]), g
+    if pc is not None:
+        p, c, matching, covers = oracle
+        assert (set_of(pc.p_mask), set_of(pc.c_mask)) == (tuple(sorted(p)), tuple(sorted(c))), g
+        assert list(pc.pendant_matching) == matching, g
+        assert set(pc.basic_cycles) in covers, g
+        assert pc.ambiguous == any(set(cyc) & p for cyc in basic), g
+        assert check_pc_well_dominated(g, pc) == all(
+            bruteforce.cycle_pair_ok(g, c1, c2)
+            for c1, c2 in itertools.combinations(pc.basic_cycles, 2)), g
+
+
+def test_recognizers_match_bruteforce():
+    for g in recognizer_graphs():
+        assert_matches_oracle(g)

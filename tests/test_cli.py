@@ -159,6 +159,27 @@ def test_verify_bad_product_cap_fails_before_corpus_load(capsys, tmp_path, monke
     assert "product cap 100" in err
 
 
+@pytest.mark.parametrize("orders", [
+    ["--min-order", "50", "--max-order", "70"],
+    ["--min-order", "3"],
+    ["--max-order", "5"],
+])
+def test_verify_orders_with_file_corpus_fail_before_load(capsys, tmp_path, monkeypatch, orders):
+    import domlab.verify
+
+    def no_load(path):
+        raise AssertionError("corpus loaded although its orders were given")
+
+    monkeypatch.setattr(domlab.verify, "load_graph6_file", no_load)
+    path = tmp_path / "two.g6"
+    save_graph6_file(path, [cycle_graph(4), cycle_graph(5)])
+    code, out, err = run(capsys, "verify", "LNE", "--corpus", str(path), *orders,
+                         "--workers", "1")
+    assert code == 2
+    assert out == ""
+    assert "do not apply to a --corpus file" in err
+
+
 @pytest.mark.parametrize("argv, env", [
     (["--workers", "0"], {}),
     (["--workers", "-3"], {}),

@@ -121,6 +121,17 @@ def test_enumerate_connected_budget_and_filter():
         list(enumerate_connected(6, budget=5))
 
 
+@pytest.mark.parametrize("kwargs", [{"n": 500, "budget": 1000}, {"n": 10}, {"n": 0},
+                                    {"n": 3, "budget": 0}])
+def test_enumerate_connected_checks_orders_at_the_call(monkeypatch, kwargs):
+    def no_build(*args):
+        raise AssertionError("a corpus was built before the order was checked")
+
+    monkeypatch.setattr(enumeration, "_load_or_build_connected", no_build)
+    with pytest.raises(ValueError):
+        enumerate_connected(**kwargs)  # no next(): the call itself raises
+
+
 def test_deterministic_order():
     first = [to_graph6(g) for g in connected_graphs(6)]
     again = [to_graph6(g) for g in all_graphs(6) if is_connected(g)]
