@@ -110,7 +110,15 @@ def _new_vertex_may_be_deleted(adj: tuple[int, ...], k: int) -> bool:
     """True when the last vertex, of minimum degree k, has the largest sorted
     tuple of neighbour degrees among the vertices of degree k."""
     deg = [row.bit_count() for row in adj]
-    tuples = [sorted(deg[u] for u in iter_bits(row)) for row, d in zip(adj, deg) if d == k]
+    tuples = []
+    for row, d in zip(adj, deg):
+        if d == k:
+            t = []
+            while row:
+                low = row & -row
+                row ^= low
+                t.append(deg[low.bit_length() - 1])
+            tuples.append(sorted(t))
     return tuples[-1] == max(tuples)
 
 

@@ -17,13 +17,23 @@ is the same boolean, so status, clause and witness are unchanged.  UB3
 accepts a greedy dominating set of the direct product within the bound,
 since gamma is at most the size of any dominating set, and runs the exact
 search only when the greedy set is too large.
+
+Pair hypotheses and conclusions ask for a fact about one factor as
+``_fact(fn, g)``, with ``fn`` looked up by its module-level name at each
+call, so a patched name sees the call.  While a sweep holds
+:func:`factor_memo` open, each fact is computed once per factor and keyed by
+the factor's identity (the sweep keeps its factors alive, and an id hashes
+for free where a graph does not).  Products never enter the memo; outside a
+sweep every fact is computed.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable
 
+from . import domination
 from .catalog import complete_graph, cycle_graph, special_graph
 from .classify import (
     NOT_MEMBER,
@@ -87,13 +97,7 @@ class TheoremEntry:
 
 
 def _sets(**kw) -> dict:
-    out = {}
-    for name, val in kw.items():
-        if isinstance(val, int):
-            out[name] = list(set_of(val))
-        else:
-            out[name] = val
-    return out
+    return {name: list(set_of(v)) if isinstance(v, int) else v for name, v in kw.items()}
 
 
 def _fail(clause: str, **witness) -> Verdict:
@@ -120,12 +124,50 @@ def _wd_iff(p: Graph, rhs: bool, lhs_only: str, rhs_only: str) -> Verdict:
     return _iff(cert is None, rhs, lhs_only, rhs_only, {})
 
 
-def _nontrivial(g: Graph) -> bool:
-    return g.n >= 2
-
-
 def _c4_or_corona(g: Graph) -> bool:
     return are_isomorphic(g, C4) or is_corona_of_connected(g)
+
+
+# -- factor facts ------------------------------------------------------------------
+
+_facts: dict | None = None  # (function, id(factor)) -> fn(factor) in factor_memo
+
+
+@contextmanager
+def factor_memo():
+    """Keep the factor facts :func:`_fact` computes until the block ends."""
+    global _facts
+    _facts = {}
+    try:
+        yield
+    finally:
+        _facts = None
+
+
+def _fact(fn: Callable, g: Graph):
+    """``fn(g)`` for a factor ``g``, once per factor while the memo is open."""
+    if _facts is None:
+        return fn(g)
+    key = (fn, id(g))
+    if key not in _facts:
+        _facts[key] = fn(g)
+    return _facts[key]
+
+
+def _is_k2(g: Graph) -> bool:
+    return are_isomorphic(g, K2)
+
+
+def _is_k3(g: Graph) -> bool:
+    return are_isomorphic(g, K3)
+
+
+def _mis_list(g: Graph) -> list[int]:
+    return list(_iter_maximal_independent(g))
+
+
+def _total_list(g: Graph) -> list[int]:
+    return list(_iter_minimal_total_dominating(g))
 
 
 # -- single-graph conclusions -------------------------------------------------
@@ -246,7 +288,7 @@ def _g5wd(g: Graph) -> Verdict:
 
 def _t1(pair) -> Verdict:
     g, h = pair
-    if is_well_dominated(g) or is_well_dominated(h):
+    if _fact(is_well_dominated, g) or _fact(is_well_dominated, h):
         return HOLDS
     if is_well_dominated(cartesian(g, h).graph):
         wg = well_dominated_certificate(g)
@@ -258,19 +300,15 @@ def _t1(pair) -> Verdict:
 
 def _t2(pair) -> Verdict:
     g, h = pair
-    return _wd_iff(cartesian(g, h).graph, are_isomorphic(g, K2) and are_isomorphic(h, K2),
+    return _wd_iff(cartesian(g, h).graph, _fact(_is_k2, g) and _fact(_is_k2, h),
                    "triangle-free product well-dominated with a factor other than K2",
                    "K2 box K2 not recognized as well-dominated")
 
 
 def _t3_rhs(g: Graph, h: Graph) -> bool:
-    if are_isomorphic(g, K3) and are_isomorphic(h, K3):
-        return True
-    if are_isomorphic(g, K2) and _c4_or_corona(h):
-        return True
-    if are_isomorphic(h, K2) and _c4_or_corona(g):
-        return True
-    return False
+    return (_fact(_is_k3, g) and _fact(_is_k3, h)
+            or _fact(_is_k2, g) and _fact(_c4_or_corona, h)
+            or _fact(_is_k2, h) and _fact(_c4_or_corona, g))
 
 
 def _t3(pair) -> Verdict:
@@ -281,11 +319,8 @@ def _t3(pair) -> Verdict:
 
 
 def _t4_rhs(g: Graph, h: Graph) -> bool:
-    if is_complete(g) and is_well_dominated(h) and domination_number(h) <= 2:
-        return True
-    if is_complete(h) and is_well_dominated(g) and domination_number(g) <= 2:
-        return True
-    return False
+    return any(_fact(is_complete, k) and _fact(is_well_dominated, m)
+               and _fact(domination_number, m) <= 2 for k, m in ((g, h), (h, g)))
 
 
 def _t4(pair) -> Verdict:
@@ -299,7 +334,7 @@ def _t4(pair) -> Verdict:
 def _ub3(pair) -> Verdict:
     g, h = pair
     p = direct(g, h).graph
-    bound = 3 * domination_number(g) * domination_number(h)
+    bound = 3 * _fact(domination_number, g) * _fact(domination_number, h)
     if _greedy_cover(p).bit_count() <= bound:
         return HOLDS
     got = domination_number(p)
@@ -311,7 +346,7 @@ def _ub3(pair) -> Verdict:
 
 def _wcfactor(pair) -> Verdict:
     g, h = pair
-    if is_well_covered(g) or is_well_covered(h):
+    if _fact(is_well_covered, g) or _fact(is_well_covered, h):
         return HOLDS
     if is_well_covered(cartesian(g, h).graph):
         return _fail("product well-covered but neither factor is")
@@ -320,7 +355,7 @@ def _wcfactor(pair) -> Verdict:
 
 def _g4cart(pair) -> Verdict:
     g, h = pair
-    if are_isomorphic(g, K2) or are_isomorphic(h, K2):
+    if _fact(_is_k2, g) or _fact(_is_k2, h):
         return HOLDS
     if is_well_covered(cartesian(g, h).graph):
         return _fail("triangle-free product well-covered with no K2 factor")
@@ -329,7 +364,7 @@ def _g4cart(pair) -> Verdict:
 
 def _dk(pair) -> Verdict:
     g, h = pair
-    if is_complete(h):
+    if _fact(is_complete, h):
         return HOLDS
     if is_well_covered(direct(g, h).graph):
         return _fail("well-covered direct product whose isolatable-free factor "
@@ -339,27 +374,28 @@ def _dk(pair) -> Verdict:
 
 def _l3g(pair) -> Verdict:
     g, h = pair
-    if 3 * domination_number(g) >= g.n and 3 * domination_number(h) >= h.n:
+    gammas = [_fact(domination_number, g), _fact(domination_number, h)]
+    if 3 * gammas[0] >= g.n and 3 * gammas[1] >= h.n:
         return HOLDS
     if is_well_dominated(direct(g, h).graph):
         return Verdict("counterexample",
                        "well-dominated direct product with a factor of gamma < n/3",
-                       {"gammas": [domination_number(g), domination_number(h)],
+                       {"gammas": gammas,
                         "orders": [g.n, h.n]})
     return HOLDS
 
 
 def _tv(pair) -> Verdict:
     g, h = pair
-    covered = is_well_covered(g) and is_well_covered(h)
-    if covered and independence_number(g) * h.n == independence_number(h) * g.n:
+    covered = _fact(is_well_covered, g) and _fact(is_well_covered, h)
+    if covered and _fact(independence_number, g) * h.n == _fact(independence_number, h) * g.n:
         return HOLDS
     if not is_well_covered(direct(g, h).graph):
         return HOLDS
     if not covered:
         return _fail("well-covered direct product with a factor that is not well-covered")
     return Verdict("counterexample", "alpha(G)|V(H)| != alpha(H)|V(G)|",
-                   {"alphas": [independence_number(g), independence_number(h)],
+                   {"alphas": [_fact(independence_number, g), _fact(independence_number, h)],
                     "orders": [g.n, h.n]})
 
 
@@ -367,8 +403,8 @@ def _dind(pair) -> Verdict:
     g, h = pair
     p = disjunctive(g, h).graph
     q = h.n
-    j_sets = list(_iter_maximal_independent(h))
-    for i_set in _iter_maximal_independent(g):
+    j_sets = _fact(_mis_list, h)
+    for i_set in _fact(_mis_list, g):
         block = spread(i_set, q)
         for j_set in j_sets:
             prod_set = block * j_set
@@ -386,8 +422,8 @@ def _dtot(pair) -> Verdict:
     # copy a minimal total dominating set of the other, in both orientations.
     q = h.n
     for fixed, other, fixed_step, set_step in ((g, h, q, 1), (h, g, 1, q)):
-        uni = universal_vertices(fixed)
-        for t_set in _iter_minimal_total_dominating(other):
+        uni = _fact(universal_vertices, fixed)
+        for t_set in _fact(_total_list, other):
             block = spread(t_set, set_step)
             for v in range(fixed.n):
                 if uni >> v & 1:
@@ -411,7 +447,8 @@ def _dne(pair) -> Verdict:
 
 def _dkn(pair) -> Verdict:
     g, h = pair
-    return _wd_iff(disjunctive(g, h).graph, is_well_dominated(h) and domination_number(h) <= 2,
+    return _wd_iff(disjunctive(g, h).graph,
+                   _fact(is_well_dominated, h) and _fact(domination_number, h) <= 2,
                    "disjunctive product with a complete factor well-dominated "
                    "while the mate is not well-dominated with gamma <= 2",
                    "well-dominated mate with gamma <= 2 but the disjunctive "
@@ -420,13 +457,13 @@ def _dkn(pair) -> Verdict:
 
 def _e1(pair) -> Verdict:
     g, h = pair
-    a = independence_number(g) * independence_number(h)
-    if a == total_domination_number(g) == total_domination_number(h):
+    a = _fact(independence_number, g) * _fact(independence_number, h)
+    gamma_t = [_fact(total_domination_number, g), _fact(total_domination_number, h)]
+    if a == gamma_t[0] == gamma_t[1]:
         return HOLDS
     return Verdict("counterexample",
                    "alpha(G)alpha(H), gamma_t(G), gamma_t(H) not all equal",
-                   {"alpha_product": a,
-                    "gamma_t": [total_domination_number(g), total_domination_number(h)]})
+                   {"alpha_product": a, "gamma_t": gamma_t})
 
 
 # -- hypotheses ------------------------------------------------------------------
@@ -441,7 +478,7 @@ def _hyp_connected(g: Graph) -> bool:
 
 
 def _hyp_nontrivial_connected(g: Graph) -> bool:
-    return _nontrivial(g) and is_connected(g)
+    return g.n >= 2 and is_connected(g)
 
 
 def _hyp_no_isolated(g: Graph) -> bool:
@@ -457,51 +494,47 @@ def _hyp_g5wd(g: Graph) -> bool:
 
 
 def _hyp_pair_connected(pair) -> bool:
-    return is_connected(pair[0]) and is_connected(pair[1])
+    return _fact(is_connected, pair[0]) and _fact(is_connected, pair[1])
 
 
 def _hyp_pair_nontrivial_connected(pair) -> bool:
-    return all(_nontrivial(x) and is_connected(x) for x in pair)
+    return all(x.n >= 2 and _fact(is_connected, x) for x in pair)
 
 
 def _hyp_pair_girth4(pair) -> bool:
-    return all(_nontrivial(x) and is_connected(x) and girth(x) >= 4 for x in pair)
+    return all(x.n >= 2 and _fact(is_connected, x) and _fact(girth, x) >= 4 for x in pair)
 
 
 def _hyp_pair_no_isolated(pair) -> bool:
-    return not has_isolated_vertex(pair[0]) and not has_isolated_vertex(pair[1])
+    return not _fact(has_isolated_vertex, pair[0]) and not _fact(has_isolated_vertex, pair[1])
 
 
-# has_isolatable_vertex is imported at call time so that a patch on
-# domination (perfbench/tracer.py) reaches these calls.
 def _hyp_t3(pair) -> bool:
-    from .domination import has_isolatable_vertex
-
     g, h = pair
     return _hyp_pair_nontrivial_connected(pair) and (
-        not has_isolatable_vertex(g) or not has_isolatable_vertex(h))
+        not _fact(domination.has_isolatable_vertex, g)
+        or not _fact(domination.has_isolatable_vertex, h))
 
 
 def _hyp_dk(pair) -> bool:
-    from .domination import has_isolatable_vertex
-
-    return _hyp_pair_nontrivial_connected(pair) and not has_isolatable_vertex(pair[1])
+    return (_hyp_pair_nontrivial_connected(pair)
+            and not _fact(domination.has_isolatable_vertex, pair[1]))
 
 
 def _hyp_dne(pair) -> bool:
     g, h = pair
-    return (is_connected(g) and not has_isolated_vertex(h)
-            and not is_complete(g) and not is_complete(h))
+    return (_fact(is_connected, g) and not _fact(has_isolated_vertex, h)
+            and not _fact(is_complete, g) and not _fact(is_complete, h))
 
 
 def _hyp_dkn(pair) -> bool:
-    return pair[0].n >= 2 and is_complete(pair[0])
+    return pair[0].n >= 2 and _fact(is_complete, pair[0])
 
 
 def _hyp_e1(pair) -> bool:
     g, h = pair
     return (_hyp_pair_nontrivial_connected(pair)
-            and not is_complete(g) and not is_complete(h)
+            and not _fact(is_complete, g) and not _fact(is_complete, h)
             and is_well_dominated(disjunctive(g, h).graph))
 
 

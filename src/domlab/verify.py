@@ -1,13 +1,15 @@
 """Corpus sweeps: run a theorem over every in-budget instance and report.
 
 Instances come either from the internal enumerator (connected graphs of a
-range of orders, optionally triangle-free) or from a .g6 file.  Pair
-theorems sweep ordered pairs of two corpora under a product-order cap.
-Instances stay the corpus's ``Graph`` objects (or ``(g, h)`` tuples of
-them) all the way to the theorem check, in one process or shipped to pool
-workers by pickle; graph6 appears only in counterexample certificates.
-Sweeps can fan out over a process pool; results are merged in instance
-order, so reports are identical regardless of scheduling.  Counterexample
+range of orders, optionally triangle-free) or from a .g6 file.  Pair theorems
+sweep ordered pairs of two corpora under a product-order cap.  Instances stay
+the corpus's ``Graph`` objects (or ``(g, h)`` tuples of them) all the way to
+the theorem check; graph6 appears only in counterexample certificates.  A
+sweep can fan out over a fork pool of at most one process per instance, whose
+workers inherit the instances from a module slot and get only indices, so
+each factor keeps the identity that the theorems' factor memo keys on;
+without ``fork`` it runs in-process.  Results are merged in instance order,
+so reports are identical regardless of scheduling.  Counterexample
 certificates carry the instance in graph6, the violated clause, and witness
 sets; the report keeps at most ``cap`` certificates but always the full
 count.  A theorem with a tag hook also gets ``members`` and ``member_tags``
@@ -18,15 +20,16 @@ from __future__ import annotations
 
 import json
 import time
+from collections import Counter
 from dataclasses import asdict, dataclass, field
-from multiprocessing import get_context
+from multiprocessing import get_all_start_methods, get_context
 from pathlib import Path
 
 from .enumeration import DEFAULT_BUDGET, check_orders, enumerate_connected
 from .graph6 import load_graph6_file, parse_graph6, to_graph6  # noqa: F401
 from .graphs import MAX_ORDER, Graph, is_triangle_free
 from .classify import classify_small_triangle_free  # noqa: F401
-from .theorems import THEOREMS, check_instance
+from .theorems import THEOREMS, check_instance, factor_memo
 
 # parse_graph6 and classify_small_triangle_free are not called here; they
 # stay importable because perfbench/tracer.py patches them on this module.
@@ -63,17 +66,9 @@ class CorpusSpec:
             if self.triangle_free:
                 graphs = [g for g in graphs if is_triangle_free(g)]
             return graphs
-        out: list[Graph] = []
-        for n in range(self.min_order, self.max_order + 1):
-            out.extend(
-                enumerate_connected(
-                    n,
-                    triangle_free=self.triangle_free,
-                    budget=self.budget,
-                    cache_dir=cache_dir,
-                )
-            )
-        return out
+        return [g for n in range(self.min_order, self.max_order + 1)
+                for g in enumerate_connected(n, triangle_free=self.triangle_free,
+                                             budget=self.budget, cache_dir=cache_dir)]
 
 
 @dataclass(frozen=True)
@@ -163,13 +158,15 @@ def _instances(tid: str, corpus, cache_dir) -> list:
     return [(g, h) for g in left for h in right if g.n * h.n <= corpus.product_cap]
 
 
-def _check_task(args: tuple[str, object]) -> tuple[str, str | None, dict | None, str | None]:
-    tid, instance = args
+# The running sweep, (theorem id, instances); fork pool workers inherit it.
+_sweep: tuple[str, list] | None = None
+
+
+def _check_task(i: int) -> tuple[str, str | None, dict | None, str | None]:
+    tid, instance = _sweep[0], _sweep[1][i]
     verdict = check_instance(tid, instance)
     hook = THEOREMS[tid].tag
-    tag = None
-    if hook is not None and verdict.status != "hypothesis-not-met":
-        tag = hook(instance)
+    tag = hook(instance) if hook and verdict.status != "hypothesis-not-met" else None
     return verdict.status, verdict.clause, verdict.witness, tag
 
 
@@ -181,6 +178,7 @@ def verify_corpus(
     cap: int = COUNTEREXAMPLE_CAP,
 ) -> VerificationReport:
     """Sweep one theorem over a corpus and aggregate the verdicts."""
+    global _sweep
     if tid not in THEOREMS:
         raise KeyError(f"unknown theorem id {tid!r}")
     if workers < 1 or cap < 0:
@@ -189,50 +187,40 @@ def verify_corpus(
         corpus = DEFAULT_CORPORA[tid]
     start = time.perf_counter()
     instances = _instances(tid, corpus, cache_dir)
-    tasks = [(tid, x) for x in instances]
-    if workers > 1 and len(tasks) > 1:
-        try:
-            ctx = get_context("fork")  # inherits warm caches
-        except ValueError:
-            ctx = get_context()
-        chunk = max(1, len(tasks) // (workers * 8))
-        with ctx.Pool(workers) as pool:
-            results = pool.map(_check_task, tasks, chunksize=chunk)
-    else:
-        results = [_check_task(t) for t in tasks]
+    workers = min(workers, len(instances))
+    _sweep = tid, instances
+    try:
+        with factor_memo():
+            if workers > 1 and "fork" in get_all_start_methods():
+                chunk = max(1, len(instances) // (workers * 8))
+                with get_context("fork").Pool(workers) as pool:
+                    results = pool.map(_check_task, range(len(instances)), chunksize=chunk)
+            else:
+                results = [_check_task(i) for i in range(len(instances))]
+    finally:
+        _sweep = None
 
-    holds = hnm = 0
+    counts = Counter(status for status, *_ in results)
     certs: list[dict] = []
-    cert_count = 0
-    member_tags: list[str] = []
-    for instance, (status, clause, witness, tag) in zip(instances, results):
-        if status == "holds":
-            holds += 1
-        elif status == "hypothesis-not-met":
-            hnm += 1
-        else:
-            cert_count += 1
-            if len(certs) < cap:
-                cert = {"clause": clause, "witness_sets": witness or {}}
-                if isinstance(instance, tuple):
-                    cert["pair"] = [to_graph6(x) for x in instance]
-                else:
-                    cert["graph6"] = to_graph6(instance)
-                certs.append(cert)
-        if tag is not None:
-            member_tags.append(tag)
-    details: dict = {}
-    if THEOREMS[tid].tag is not None:
-        details["members"] = len(member_tags)
-        details["member_tags"] = sorted(member_tags)
+    for instance, (status, clause, witness, _) in zip(instances, results):
+        if status == "counterexample" and len(certs) < cap:
+            cert = {"clause": clause, "witness_sets": witness or {}}
+            if isinstance(instance, tuple):
+                cert["pair"] = [to_graph6(x) for x in instance]
+            else:
+                cert["graph6"] = to_graph6(instance)
+            certs.append(cert)
+    member_tags = sorted(tag for *_, tag in results if tag is not None)
+    details = ({} if THEOREMS[tid].tag is None
+               else {"members": len(member_tags), "member_tags": member_tags})
     elapsed = (time.perf_counter() - start) * 1000.0
     return VerificationReport(
         theorem=tid,
         corpus=corpus.describe(),
         scanned=len(instances),
-        holds=holds,
-        hypothesis_not_met=hnm,
-        counterexample_count=cert_count,
+        holds=counts["holds"],
+        hypothesis_not_met=counts["hypothesis-not-met"],
+        counterexample_count=counts["counterexample"],
         counterexamples=certs,
         elapsed_ms=elapsed,
         details=details,

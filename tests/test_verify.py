@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from domlab import verify
+from domlab import theorems, verify
 from domlab.catalog import complete_graph, cycle_graph, path_graph
 from domlab.graph6 import save_graph6_file, to_graph6
-from domlab.graphs import MAX_ORDER
+from domlab.graphs import MAX_ORDER, Graph
 from domlab.verify import (
     DEFAULT_CORPORA,
     CorpusSpec,
@@ -17,7 +17,9 @@ from domlab.verify import (
     VerificationReport,
     verify_corpus,
 )
-from domlab.theorems import THEOREMS, Verdict
+from domlab.theorems import THEOREMS, Verdict, check_instance
+
+PAIR_TIDS = [tid for tid, entry in THEOREMS.items() if entry.arity == 2]
 
 
 def test_every_theorem_has_a_default_corpus():
@@ -70,6 +72,105 @@ def test_pair_worker_pool_matches_sequential():
     a, b = seq.to_dict(), par.to_dict()
     a.pop("elapsed_ms"), b.pop("elapsed_ms")
     assert a == b
+
+
+def _small_pairs(tid: str) -> PairCorpusSpec:
+    side = CorpusSpec(2, 4, DEFAULT_CORPORA[tid].left.triangle_free)
+    return PairCorpusSpec(side, side, product_cap=16)
+
+
+@pytest.mark.parametrize("tid", PAIR_TIDS)
+def test_pair_sweep_reports_match_across_workers(tid):
+    seq = verify_corpus(tid, _small_pairs(tid), workers=1).to_dict()
+    par = verify_corpus(tid, _small_pairs(tid), workers=2).to_dict()
+    seq.pop("elapsed_ms"), par.pop("elapsed_ms")
+    assert seq == par
+
+
+def test_pool_never_starts_more_processes_than_instances(monkeypatch):
+    started = []
+
+    class InProcessPool:
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return [fn(x) for x in items]
+
+    class Context:
+        Pool = InProcessPool
+
+    monkeypatch.setattr(verify, "get_context", lambda *args: Context())
+    report = verify_corpus("T4", workers=500)
+    assert report.scanned == 81
+    assert started == [81]
+
+
+def test_t1_sweep_decides_each_factor_once(monkeypatch):
+    calls, products = [], []
+    is_well_dominated, cartesian = theorems.is_well_dominated, theorems.cartesian
+
+    def spy(g):
+        calls.append(g)
+        return is_well_dominated(g)
+
+    def build(g, h):
+        p = cartesian(g, h)
+        products.append(p.graph)
+        return p
+
+    monkeypatch.setattr(theorems, "is_well_dominated", spy)
+    monkeypatch.setattr(theorems, "cartesian", build)
+    spec = CorpusSpec(2, 5)
+    report = verify_corpus("T1", PairCorpusSpec(spec, spec), workers=1)
+    product_ids = {id(p) for p in products}
+    on_factors = [id(g) for g in calls if id(g) not in product_ids]
+    assert products and report.counterexample_count == 0
+    assert len(on_factors) == len(set(on_factors)) <= len(spec.graphs())
+    assert len(calls) - len(on_factors) == len(products)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_that_raises_partway_leaves_the_memo_empty(monkeypatch, workers):
+    entry = THEOREMS["T4"]
+    memo_sizes = []
+
+    def conclusion(pair):
+        memo_sizes.append(len(theorems._facts))
+        if len(memo_sizes) == 5:
+            raise RuntimeError(f"conclusion failed with {memo_sizes[-1]} facts")
+        return entry.conclusion(pair)
+
+    monkeypatch.setitem(THEOREMS, "T4", dataclasses.replace(entry, conclusion=conclusion))
+    with pytest.raises(RuntimeError, match="conclusion failed"):
+        verify_corpus("T4", workers=workers)
+    if workers == 1:
+        assert memo_sizes[-1] > 0
+    assert theorems._facts is None and verify._sweep is None
+
+
+@pytest.mark.parametrize("tid", PAIR_TIDS)
+def test_check_instance_outside_a_sweep_gives_the_sweep_verdicts(tid):
+    corpus = _small_pairs(tid)
+    instances = verify._instances(tid, corpus, None)
+    with theorems.factor_memo():
+        inside = [check_instance(tid, x) for x in instances]
+        assert theorems._facts
+    assert theorems._facts is None
+    # fresh copies of the factors, never seen by a memo
+    outside = [check_instance(tid, (Graph._raw(g.n, g.adj), Graph._raw(h.n, h.adj)))
+               for g, h in instances]
+    assert outside == inside
+    report = verify_corpus(tid, corpus)
+    statuses = [v.status for v in outside]
+    assert [report.holds, report.hypothesis_not_met, report.counterexample_count] == [
+        statuses.count(s) for s in ("holds", "hypothesis-not-met", "counterexample")]
 
 
 def test_file_corpus(tmp_path):
