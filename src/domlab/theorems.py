@@ -1,14 +1,17 @@
 """The theorem table: one checkable predicate per verified statement.
 
-Each entry has a hypothesis filter (the statement's standing assumptions)
-and a conclusion predicate, plus an optional tag hook whose non-None
-results a sweep collects into its report.  Biconditional statements go
-through :func:`_iff`, which reports which direction failed; the product
-biconditionals (T2, T3, T4, LK2, DKN) all take one form, :func:`_wd_iff`,
-whose verdict and witness come from one well-dominated certificate.
-Conclusions return an optional witness dictionary that goes into
-counterexample certificates; vertex sets are rendered as sorted index lists
-(product vertices use the row-major index map of :mod:`domlab.products`).
+Each entry has a hypothesis filter (the statement's standing assumptions) and
+a conclusion predicate, plus an optional tag hook whose non-None results a
+sweep collects into its report.  A pair entry is ``swap_invariant`` when its
+hypothesis and conclusion are symmetric in the factors: (g, h) and (h, g) then
+get the same status, each product being commutative up to isomorphism.
+Biconditional statements go through :func:`_iff`, which reports which
+direction failed; the product biconditionals (T2, T3, T4, LK2, DKN) all take
+one form, :func:`_wd_iff`, whose verdict and witness come from one
+well-dominated certificate.  Conclusions return an optional witness dictionary
+that goes into counterexample certificates; vertex sets are rendered as sorted
+index lists (product vertices use the row-major index map of
+:mod:`domlab.products`).
 
 Pair implications whose conclusion or hypothesis speaks of the factors
 (T1, WCFACTOR, G4CART, DK, L3G, TV) test the factor side first and build
@@ -94,6 +97,7 @@ class TheoremEntry:
     hypothesis: Callable
     conclusion: Callable  # returns Verdict with status holds/counterexample
     tag: Callable | None = None  # instance -> report tag or None, when the hypothesis holds
+    swap_invariant: bool = False  # (g, h) and (h, g) always get the same status and tag
 
 
 def _sets(**kw) -> dict:
@@ -380,8 +384,7 @@ def _l3g(pair) -> Verdict:
     if is_well_dominated(direct(g, h).graph):
         return Verdict("counterexample",
                        "well-dominated direct product with a factor of gamma < n/3",
-                       {"gammas": gammas,
-                        "orders": [g.n, h.n]})
+                       {"gammas": gammas, "orders": [g.n, h.n]})
     return HOLDS
 
 
@@ -542,23 +545,23 @@ THEOREMS: dict[str, TheoremEntry] = {
     e.tid: e
     for e in [
         TheoremEntry("T1", 2, "a well-dominated Cartesian product has a "
-                     "well-dominated factor", _hyp_pair_connected, _t1),
+                     "well-dominated factor", _hyp_pair_connected, _t1, swap_invariant=True),
         TheoremEntry("T2", 2, "a triangle-free Cartesian product is well-dominated "
-                     "only for K2 box K2", _hyp_pair_girth4, _t2),
+                     "only for K2 box K2", _hyp_pair_girth4, _t2, swap_invariant=True),
         TheoremEntry("T3", 2, "well-dominated direct products with an "
                      "isolatable-free factor are K3xK3 or K2 with a 4-cycle/corona",
-                     _hyp_t3, _t3),
+                     _hyp_t3, _t3, swap_invariant=True),
         TheoremEntry("T4", 2, "well-dominated disjunctive products pair a complete "
                      "factor with a well-dominated mate of gamma <= 2",
-                     _hyp_pair_nontrivial_connected, _t4),
+                     _hyp_pair_nontrivial_connected, _t4, swap_invariant=True),
         TheoremEntry("P1", 1, "well-dominated implies well-covered", _hyp_true, _p1),
         TheoremEntry("CHAIN", 1, "gamma <= i <= alpha <= Gamma", _hyp_true, _chain),
-        TheoremEntry("UB3", 2, "gamma(direct product) <= 3 gamma gamma "
-                     "for isolate-free factors", _hyp_pair_no_isolated, _ub3),
+        TheoremEntry("UB3", 2, "gamma(direct product) <= 3 gamma gamma for isolate-free "
+                     "factors", _hyp_pair_no_isolated, _ub3, swap_invariant=True),
         TheoremEntry("WCFACTOR", 2, "a well-covered Cartesian product has a "
-                     "well-covered factor", _hyp_true, _wcfactor),
+                     "well-covered factor", _hyp_true, _wcfactor, swap_invariant=True),
         TheoremEntry("G4CART", 2, "a triangle-free well-covered Cartesian product "
-                     "has a K2 factor", _hyp_pair_girth4, _g4cart),
+                     "has a K2 factor", _hyp_pair_girth4, _g4cart, swap_invariant=True),
         TheoremEntry("PRISM", 1, "a well-dominated prism forces base K2",
                      _hyp_nontrivial_connected, _prism),
         TheoremEntry("BC", 1, "an isolate-free graph has an open irredundant "
@@ -566,10 +569,10 @@ THEOREMS: dict[str, TheoremEntry] = {
         TheoremEntry("DK", 2, "well-covered direct product: the isolatable-free "
                      "factor is complete", _hyp_dk, _dk),
         TheoremEntry("L3G", 2, "well-dominated direct product: 3 gamma >= order "
-                     "for both factors", _hyp_pair_no_isolated, _l3g),
+                     "for both factors", _hyp_pair_no_isolated, _l3g, swap_invariant=True),
         TheoremEntry("TV", 2, "well-covered direct product: both factors "
                      "well-covered with alpha(G)|V(H)| = alpha(H)|V(G)|",
-                     _hyp_pair_no_isolated, _tv),
+                     _hyp_pair_no_isolated, _tv, swap_invariant=True),
         TheoremEntry("PX", 1, "gamma = n/2 exactly for the 4-cycle and coronas "
                      "of connected graphs", _hyp_nontrivial_connected, _px),
         TheoremEntry("LK2", 1, "direct product with K2 well-dominated exactly "
@@ -581,11 +584,12 @@ THEOREMS: dict[str, TheoremEntry] = {
                      "for base K3", _hyp_nontrivial_connected, _lk3),
         TheoremEntry("LNE", 1, "no connected graph has 2 <= alpha = gamma "
                      "with gamma_t = 2 gamma", _hyp_connected, _lne),
-        TheoremEntry("DIND", 2, "products of maximal independent sets are "
-                     "maximal independent in the disjunctive product", _hyp_true, _dind),
+        TheoremEntry("DIND", 2, "products of maximal independent sets are maximal "
+                     "independent in the disjunctive product", _hyp_true, _dind,
+                     swap_invariant=True),
         TheoremEntry("DTOT", 2, "fixed-vertex copies of minimal total dominating "
                      "sets are minimal dominating in the disjunctive product",
-                     _hyp_pair_no_isolated, _dtot),
+                     _hyp_pair_no_isolated, _dtot, swap_invariant=True),
         TheoremEntry("DNE", 2, "disjunctive products of two non-complete factors "
                      "are never well-dominated", _hyp_dne, _dne),
         TheoremEntry("DKN", 2, "complete-factor disjunctive product well-dominated "
@@ -593,7 +597,7 @@ THEOREMS: dict[str, TheoremEntry] = {
                      _hyp_dkn, _dkn),
         TheoremEntry("E1", 2, "a well-dominated disjunctive product of non-complete "
                      "factors would force alpha(G)alpha(H) = gamma_t(G) = gamma_t(H)",
-                     _hyp_e1, _e1),
+                     _hyp_e1, _e1, swap_invariant=True),
         TheoremEntry("TF11", 1, "the eleven connected triangle-free well-dominated "
                      "graphs with gamma <= 3", _hyp_tf_connected, _tf11, _tf11_tag),
         TheoremEntry("G5WD", 1, "well-dominated, girth >= 5: pendant/5-cycle class "

@@ -1,25 +1,27 @@
 """Corpus sweeps: run a theorem over every in-budget instance and report.
 
-Instances come either from the internal enumerator (connected graphs of a
-range of orders, optionally triangle-free) or from a .g6 file.  Pair theorems
-sweep ordered pairs of two corpora under a product-order cap.  Instances stay
-the corpus's ``Graph`` objects (or ``(g, h)`` tuples of them) all the way to
-the theorem check; graph6 appears only in counterexample certificates.  A
-sweep can fan out over a fork pool of at most one process per instance, whose
-workers inherit the instances from a module slot and get only indices, so
-each factor keeps the identity that the theorems' factor memo keys on;
-without ``fork`` it runs in-process.  Results are merged in instance order,
-so reports are identical regardless of scheduling.  Counterexample
-certificates carry the instance in graph6, the violated clause, and witness
-sets; the report keeps at most ``cap`` certificates but always the full
-count.  A theorem with a tag hook also gets ``members`` and ``member_tags``
-(the sorted non-None tags) in ``details``.
+Instances come either from the internal enumerator (connected graphs of a range
+of orders, optionally triangle-free) or from a .g6 file.  Pair theorems sweep
+ordered pairs of two corpora under a product-order cap.  Instances stay the
+corpus's ``Graph`` objects (or ``(g, h)`` tuples of them) all the way to the
+theorem check; graph6 appears only in counterexample certificates.  A sweep can
+fan out over a fork pool of at most one process per task, whose workers inherit
+the instances from a module slot and get only indices, so each factor keeps the
+identity that the theorems' factor memo keys on; without ``fork`` it runs
+in-process.  A task is one instance or, for a swap-invariant theorem, a pair
+(g, h) with its swap (h, g), which reuses a verdict that is not a
+counterexample.  Results are merged in instance order, so reports are identical
+regardless of scheduling.  Counterexample certificates carry the instance in
+graph6, the violated clause, and witness sets; the report keeps at most ``cap``
+certificates but always the full count.  A theorem with a tag hook also gets
+``members`` and ``member_tags`` (the sorted non-None tags) in ``details``.
 """
 
 from __future__ import annotations
 
 import json
 import time
+from array import array
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from multiprocessing import get_all_start_methods, get_context
@@ -154,12 +156,26 @@ def _instances(tid: str, corpus, cache_dir) -> list:
     if not isinstance(corpus, PairCorpusSpec):
         raise ValueError(f"{tid} takes a pair corpus")
     left = corpus.left.graphs(cache_dir)
-    right = corpus.right.graphs(cache_dir)
+    right = left if corpus.right == corpus.left else corpus.right.graphs(cache_dir)
     return [(g, h) for g in left for h in right if g.n * h.n <= corpus.product_cap]
 
 
-# The running sweep, (theorem id, instances); fork pool workers inherit it.
-_sweep: tuple[str, list] | None = None
+def _swaps(instances: list) -> array:
+    """Each pair's index of its swap (h, g), or its own if none: in a corpus
+    paired with itself the pairs (_, h) come in the order of the run (h, _)."""
+    n, nxt = len(instances), {}  # id(h) -> index of the next unmatched pair (h, _)
+    for i, (g, _) in enumerate(instances):
+        nxt.setdefault(id(g), i)
+    swaps = array("i", range(n))
+    for i, (g, h) in enumerate(instances):
+        j = nxt.get(id(h), n)
+        if j < n and instances[j][0] is h and instances[j][1] is g:
+            swaps[i], swaps[j], nxt[id(h)] = j, i, j + 1
+    return swaps
+
+
+# The running sweep, (theorem id, instances, pair swaps); fork workers inherit it.
+_sweep: tuple[str, list, array | None] | None = None
 
 
 def _check_task(i: int) -> tuple[str, str | None, dict | None, str | None]:
@@ -168,6 +184,12 @@ def _check_task(i: int) -> tuple[str, str | None, dict | None, str | None]:
     hook = THEOREMS[tid].tag
     tag = hook(instance) if hook and verdict.status != "hypothesis-not-met" else None
     return verdict.status, verdict.clause, verdict.witness, tag
+
+
+def _check_pair_task(i: int) -> tuple:
+    """Pair ``i``'s row, shared by its swap, or both rows for a counterexample."""
+    first, j = _check_task(i), _sweep[2][i]
+    return first if j == i or first[0] != "counterexample" else (first, _check_task(j))
 
 
 def verify_corpus(
@@ -187,18 +209,27 @@ def verify_corpus(
         corpus = DEFAULT_CORPORA[tid]
     start = time.perf_counter()
     instances = _instances(tid, corpus, cache_dir)
-    workers = min(workers, len(instances))
-    _sweep = tid, instances
+    if THEOREMS[tid].swap_invariant:
+        swaps = _swaps(instances)
+        task, tasks = _check_pair_task, array("i", (i for i, j in enumerate(swaps) if i <= j))
+    else:
+        swaps, task, tasks = None, _check_task, range(len(instances))
+    workers = min(workers, len(tasks))
+    _sweep = tid, instances, swaps
     try:
         with factor_memo():
             if workers > 1 and "fork" in get_all_start_methods():
-                chunk = max(1, len(instances) // (workers * 8))
+                chunk = max(1, len(tasks) // (workers * 8))
                 with get_context("fork").Pool(workers) as pool:
-                    results = pool.map(_check_task, range(len(instances)), chunksize=chunk)
+                    results = pool.map(task, tasks, chunksize=chunk)
             else:
-                results = [_check_task(i) for i in range(len(instances))]
+                results = [task(i) for i in tasks]
     finally:
         _sweep = None
+    if swaps is not None:  # a row has 4 fields, a pair of rows 2
+        pairs, results = results, [None] * len(instances)
+        for i, row in zip(tasks, pairs):
+            results[i], results[swaps[i]] = row if len(row) == 2 else (row, row)
 
     counts = Counter(status for status, *_ in results)
     certs: list[dict] = []

@@ -12,7 +12,8 @@ from domlab.domination import (
     is_maximal_independent,
 )
 from domlab.classify import universal_vertices
-from domlab.graphs import Graph, iter_bits, mask_of
+from domlab.enumeration import all_graphs
+from domlab.graphs import Graph, is_connected, iter_bits, mask_of
 from domlab import theorems
 from domlab.products import cartesian, direct, disjunctive
 from domlab.theorems import THEOREMS, Verdict, check_instance
@@ -256,6 +257,34 @@ def test_forced_wrong_shape_predicates_digest(monkeypatch):
             counterexamples += v.status == "counterexample"
     assert (scanned, counterexamples, digest.hexdigest()) == (
         49988, 24700, "24da16ba5da365fd8dc7053a5067423c0f6e65f603a0e2b7d5130a352d329d34")
+
+
+def swap_mismatches(max_order: int, cap: int) -> dict[str, list]:
+    """For each pair theorem, the ordered pairs (g, h) of graphs of order at
+    most ``max_order``, disconnected ones included, with product order at most
+    ``cap``, whose status differs from that of (h, g); checked outside any
+    factor memo."""
+    graphs = [g for n in range(1, max_order + 1) for g in all_graphs(n)]
+    pairs = [(a, b) for a, g in enumerate(graphs) for b, h in enumerate(graphs)
+             if g.n * h.n <= cap]
+    out = {}
+    for tid, entry in THEOREMS.items():
+        if entry.arity == 2:
+            status = {(a, b): check_instance(tid, (graphs[a], graphs[b])).status
+                      for a, b in pairs}
+            out[tid] = [(graphs[a], graphs[b]) for a, b in pairs if status[a, b] != status[b, a]]
+    return out
+
+
+def test_swap_invariant_flags_match_the_statuses():
+    # all 52 graphs of order <= 5, 2,704 ordered pairs: a flagged theorem never
+    # tells (g, h) from (h, g), and an unflagged one does somewhere
+    mismatches = swap_mismatches(5, 25)
+    for tid, found in mismatches.items():
+        assert THEOREMS[tid].swap_invariant == (not found), (tid, len(found))
+    assert {tid: len(found) for tid, found in mismatches.items() if found} == {
+        "DK": 288, "DKN": 384, "DNE": 156}
+    assert all(not (is_connected(g) and is_connected(h)) for g, h in mismatches["DNE"])
 
 
 # -- factor-first conclusions against the product-first formulas ---------------

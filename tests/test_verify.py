@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import random
 from importlib import resources
 
 import pytest
@@ -108,11 +109,15 @@ def test_pool_never_starts_more_processes_than_instances(monkeypatch):
 
     monkeypatch.setattr(verify, "get_context", lambda *args: Context())
     report = verify_corpus("T4", workers=500)
+    # 9 factors: 81 pairs in 45 tasks, each pair with its swap or a diagonal
     assert report.scanned == 81
-    assert started == [81]
+    assert started == [45]
 
 
-def test_t1_sweep_decides_each_factor_once(monkeypatch):
+def _t1_factor_decisions(monkeypatch, corpus: PairCorpusSpec) -> tuple[list, int]:
+    """The ids of the factors in a workers=1 T1 sweep's ``is_well_dominated``
+    calls, one per call, and the pairs scanned; every other call must be on a
+    product the sweep built, once each."""
     calls, products = [], []
     is_well_dominated, cartesian = theorems.is_well_dominated, theorems.cartesian
 
@@ -127,13 +132,90 @@ def test_t1_sweep_decides_each_factor_once(monkeypatch):
 
     monkeypatch.setattr(theorems, "is_well_dominated", spy)
     monkeypatch.setattr(theorems, "cartesian", build)
-    spec = CorpusSpec(2, 5)
-    report = verify_corpus("T1", PairCorpusSpec(spec, spec), workers=1)
+    report = verify_corpus("T1", corpus, workers=1)
     product_ids = {id(p) for p in products}
     on_factors = [id(g) for g in calls if id(g) not in product_ids]
     assert products and report.counterexample_count == 0
-    assert len(on_factors) == len(set(on_factors)) <= len(spec.graphs())
     assert len(calls) - len(on_factors) == len(products)
+    return on_factors, report.scanned
+
+
+def test_t1_sweep_decides_each_factor_once(monkeypatch):
+    spec = CorpusSpec(2, 5)
+    on_factors, _ = _t1_factor_decisions(monkeypatch, PairCorpusSpec(spec, spec))
+    assert len(on_factors) == len(set(on_factors)) <= len(spec.graphs())
+
+
+def test_file_corpus_sweep_loads_and_decides_each_factor_once(monkeypatch, tmp_path):
+    path = tmp_path / "factors.g6"
+    graphs = CorpusSpec(2, 5).graphs()
+    save_graph6_file(path, graphs)
+    spec = CorpusSpec(path=str(path))
+    loads = []
+    load = verify.load_graph6_file
+    monkeypatch.setattr(verify, "load_graph6_file", lambda p: loads.append(p) or load(p))
+    on_factors, scanned = _t1_factor_decisions(monkeypatch, PairCorpusSpec(spec, spec))
+    assert loads == [str(path)]
+    assert scanned == sum(g.n * h.n <= 25 for g in graphs for h in graphs)
+    assert len(on_factors) == len(set(on_factors)) <= len(graphs)
+
+
+def test_swaps_match_each_pair_with_its_swap_or_itself():
+    graphs = CorpusSpec(2, 5).graphs()
+    rng = random.Random(5)
+    for trial in range(60):
+        left = rng.sample(graphs, rng.randint(1, 20))
+        right = [left, left[::-1], rng.sample(graphs, rng.randint(1, 20))][trial % 3]
+        instances = [(g, h) for g in left for h in right if g.n * h.n <= 20]
+        swaps = verify._swaps(instances)
+        for i, j in enumerate(swaps):
+            assert swaps[j] == i
+            assert j == i or instances[j][0] is instances[i][1] and instances[j][1] is instances[i][0]
+        if right is left:  # a corpus paired with itself: every swap is found
+            found = {(id(g), id(h)) for g, h in instances}
+            assert all((j != i) == ((id(h), id(g)) in found and g is not h)
+                       for i, ((g, h), j) in enumerate(zip(instances, swaps)))
+
+
+def test_swap_reuse_across_two_corpora(monkeypatch):
+    # orders 3 and 4 on both sides: some pairs have a swap and some do not
+    corpus = PairCorpusSpec(CorpusSpec(2, 4), CorpusSpec(3, 5), product_cap=16)
+    swaps = verify._swaps(verify._instances("T4", corpus, None))
+    assert 0 < sum(j != i for i, j in enumerate(swaps)) < len(swaps)
+    reused = verify_corpus("T4", corpus, workers=1).to_dict()
+    monkeypatch.setitem(THEOREMS, "T4", dataclasses.replace(THEOREMS["T4"], swap_invariant=False))
+    full = verify_corpus("T4", corpus, workers=1).to_dict()
+    reused.pop("elapsed_ms"), full.pop("elapsed_ms")
+    assert reused == full and full["scanned"] > 0
+
+
+@pytest.mark.parametrize("forced_wrong", [False, True])
+def test_swap_reuse_changes_no_report(monkeypatch, forced_wrong):
+    # Reports with the swap of each pair reusing its verdict, against those
+    # with every pair checked in full; the forced-wrong shape predicates of
+    # test_forced_wrong_shape_predicates_digest make flagged theorems fail,
+    # so their swaps are checked again for their own clause and witness.
+    if forced_wrong:
+        for name in ("are_isomorphic", "is_corona_of_connected", "is_complete"):
+            real = getattr(theorems, name)
+            monkeypatch.setattr(theorems, name, lambda *a, real=real: not real(*a))
+
+    def reports():
+        out = {}
+        for tid in PAIR_TIDS:
+            for workers in (1, 2):
+                report = verify_corpus(tid, _small_pairs(tid), workers=workers).to_dict()
+                report.pop("elapsed_ms")
+                out[tid, workers] = report
+        return out
+
+    reused = reports()
+    for tid in PAIR_TIDS:
+        monkeypatch.setitem(THEOREMS, tid,
+                            dataclasses.replace(THEOREMS[tid], swap_invariant=False))
+    assert reports() == reused
+    failing = {tid for (tid, _), r in reused.items() if r["counterexample_count"]}
+    assert bool(failing & {"T2", "T3", "T4"}) == forced_wrong
 
 
 @pytest.mark.parametrize("workers", [1, 2])
