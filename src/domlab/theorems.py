@@ -1,17 +1,17 @@
 """The theorem table: one checkable predicate per verified statement.
 
 Each entry has a hypothesis filter (the statement's standing assumptions) and
-a conclusion predicate, plus an optional tag hook whose non-None results a
-sweep collects into its report.  A pair entry is ``swap_invariant`` when its
-hypothesis and conclusion are symmetric in the factors: (g, h) and (h, g) then
-get the same status, each product being commutative up to isomorphism.
-Biconditional statements go through :func:`_iff`, which reports which
-direction failed; the product biconditionals (T2, T3, T4, LK2, DKN) all take
-one form, :func:`_wd_iff`, whose verdict and witness come from one
-well-dominated certificate.  Conclusions return an optional witness dictionary
-that goes into counterexample certificates; vertex sets are rendered as sorted
-index lists (product vertices use the row-major index map of
-:mod:`domlab.products`).
+a conclusion that returns a :class:`Verdict`, whose witness dictionary goes
+into counterexample certificates; vertex sets are rendered as sorted index
+lists (product vertices use the row-major index map of :mod:`domlab.products`).
+A ``tagged`` entry's conclusion may tag its verdict (TF11 names the catalog
+member), and a sweep's report lists the tags.  A pair entry is
+``swap_invariant`` when its hypothesis and conclusion are symmetric in the
+factors: (g, h) and (h, g) then get the same status, each product being
+commutative up to isomorphism.  Biconditional statements go through
+:func:`_iff`, which reports which direction failed; the product biconditionals
+(T2, T3, T4, LK2, DKN) all take one form, :func:`_wd_iff`, whose verdict and
+witness come from one well-dominated certificate.
 
 Pair implications whose conclusion or hypothesis speaks of the factors
 (T1, WCFACTOR, G4CART, DK, L3G, TV) test the factor side first and build
@@ -23,17 +23,17 @@ search only when the greedy set is too large.
 
 Pair hypotheses and conclusions ask for a fact about one factor as
 ``_fact(fn, g)``, with ``fn`` looked up by its module-level name at each
-call, so a patched name sees the call.  While a sweep holds
-:func:`factor_memo` open, each fact is computed once per factor and keyed by
-the factor's identity (the sweep keeps its factors alive, and an id hashes
-for free where a graph does not).  Products never enter the memo; outside a
-sweep every fact is computed.
+call, so a patched name sees the call; ``_both(hypothesis)`` asks it of both
+factors.  While a sweep holds :func:`factor_memo` open, each fact is computed
+once per factor and keyed by the factor's identity (the sweep keeps its
+factors alive, and an id hashes for free where a graph does not).  Products
+never enter the memo; outside a sweep every fact is computed.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 from . import domination
@@ -83,6 +83,7 @@ class Verdict:
     status: str  # "holds" | "counterexample" | "hypothesis-not-met"
     clause: str | None = None
     witness: dict | None = None
+    tag: str | None = None  # a report tag, set only by a tagged theorem
 
 
 HOLDS = Verdict("holds")
@@ -96,8 +97,8 @@ class TheoremEntry:
     summary: str
     hypothesis: Callable
     conclusion: Callable  # returns Verdict with status holds/counterexample
-    tag: Callable | None = None  # instance -> report tag or None, when the hypothesis holds
-    swap_invariant: bool = False  # (g, h) and (h, g) always get the same status and tag
+    tagged: bool = False  # the report lists its verdicts' tags, even when none has one
+    swap_invariant: bool = False  # (g, h) and (h, g) always get the same status
 
 
 def _sets(**kw) -> dict:
@@ -257,17 +258,14 @@ def _lne(g: Graph) -> Verdict:
                     "gamma_t": total_domination_number(g)})
 
 
-def _tf11_tag(g: Graph) -> str | None:
-    tag = classify_small_triangle_free(g)
-    return None if tag == NOT_MEMBER else tag
-
-
 def _tf11(g: Graph) -> Verdict:
-    tag = _tf11_tag(g)
-    return _iff(is_well_dominated(g) and domination_number(g) <= 3, tag is not None,
-                "well-dominated with gamma <= 3 but outside the eleven-graph catalog",
-                "catalog member that is not well-dominated with gamma <= 3",
-                {"tag": tag})
+    tag = classify_small_triangle_free(g)
+    member = tag != NOT_MEMBER
+    verdict = _iff(is_well_dominated(g) and domination_number(g) <= 3, member,
+                   "well-dominated with gamma <= 3 but outside the eleven-graph catalog",
+                   "catalog member that is not well-dominated with gamma <= 3",
+                   {"tag": tag})
+    return replace(verdict, tag=tag) if member else verdict
 
 
 def _g5wd(g: Graph) -> Verdict:
@@ -496,20 +494,18 @@ def _hyp_g5wd(g: Graph) -> bool:
     return is_connected(g) and girth(g) >= 5 and is_well_dominated(g)
 
 
-def _hyp_pair_connected(pair) -> bool:
-    return _fact(is_connected, pair[0]) and _fact(is_connected, pair[1])
+def _both(hypothesis: Callable) -> Callable:
+    """The pair hypothesis ``hypothesis`` of both factors, one memo entry each."""
+    def both(pair) -> bool:
+        return _fact(hypothesis, pair[0]) and _fact(hypothesis, pair[1])
+    return both
 
 
-def _hyp_pair_nontrivial_connected(pair) -> bool:
-    return all(x.n >= 2 and _fact(is_connected, x) for x in pair)
+_hyp_pair_nontrivial_connected = _both(_hyp_nontrivial_connected)
 
 
 def _hyp_pair_girth4(pair) -> bool:
     return all(x.n >= 2 and _fact(is_connected, x) and _fact(girth, x) >= 4 for x in pair)
-
-
-def _hyp_pair_no_isolated(pair) -> bool:
-    return not _fact(has_isolated_vertex, pair[0]) and not _fact(has_isolated_vertex, pair[1])
 
 
 def _hyp_t3(pair) -> bool:
@@ -545,7 +541,7 @@ THEOREMS: dict[str, TheoremEntry] = {
     e.tid: e
     for e in [
         TheoremEntry("T1", 2, "a well-dominated Cartesian product has a "
-                     "well-dominated factor", _hyp_pair_connected, _t1, swap_invariant=True),
+                     "well-dominated factor", _both(_hyp_connected), _t1, swap_invariant=True),
         TheoremEntry("T2", 2, "a triangle-free Cartesian product is well-dominated "
                      "only for K2 box K2", _hyp_pair_girth4, _t2, swap_invariant=True),
         TheoremEntry("T3", 2, "well-dominated direct products with an "
@@ -557,7 +553,7 @@ THEOREMS: dict[str, TheoremEntry] = {
         TheoremEntry("P1", 1, "well-dominated implies well-covered", _hyp_true, _p1),
         TheoremEntry("CHAIN", 1, "gamma <= i <= alpha <= Gamma", _hyp_true, _chain),
         TheoremEntry("UB3", 2, "gamma(direct product) <= 3 gamma gamma for isolate-free "
-                     "factors", _hyp_pair_no_isolated, _ub3, swap_invariant=True),
+                     "factors", _both(_hyp_no_isolated), _ub3, swap_invariant=True),
         TheoremEntry("WCFACTOR", 2, "a well-covered Cartesian product has a "
                      "well-covered factor", _hyp_true, _wcfactor, swap_invariant=True),
         TheoremEntry("G4CART", 2, "a triangle-free well-covered Cartesian product "
@@ -569,10 +565,10 @@ THEOREMS: dict[str, TheoremEntry] = {
         TheoremEntry("DK", 2, "well-covered direct product: the isolatable-free "
                      "factor is complete", _hyp_dk, _dk),
         TheoremEntry("L3G", 2, "well-dominated direct product: 3 gamma >= order "
-                     "for both factors", _hyp_pair_no_isolated, _l3g, swap_invariant=True),
+                     "for both factors", _both(_hyp_no_isolated), _l3g, swap_invariant=True),
         TheoremEntry("TV", 2, "well-covered direct product: both factors "
                      "well-covered with alpha(G)|V(H)| = alpha(H)|V(G)|",
-                     _hyp_pair_no_isolated, _tv, swap_invariant=True),
+                     _both(_hyp_no_isolated), _tv, swap_invariant=True),
         TheoremEntry("PX", 1, "gamma = n/2 exactly for the 4-cycle and coronas "
                      "of connected graphs", _hyp_nontrivial_connected, _px),
         TheoremEntry("LK2", 1, "direct product with K2 well-dominated exactly "
@@ -589,7 +585,7 @@ THEOREMS: dict[str, TheoremEntry] = {
                      swap_invariant=True),
         TheoremEntry("DTOT", 2, "fixed-vertex copies of minimal total dominating "
                      "sets are minimal dominating in the disjunctive product",
-                     _hyp_pair_no_isolated, _dtot, swap_invariant=True),
+                     _both(_hyp_no_isolated), _dtot, swap_invariant=True),
         TheoremEntry("DNE", 2, "disjunctive products of two non-complete factors "
                      "are never well-dominated", _hyp_dne, _dne),
         TheoremEntry("DKN", 2, "complete-factor disjunctive product well-dominated "
@@ -599,7 +595,7 @@ THEOREMS: dict[str, TheoremEntry] = {
                      "factors would force alpha(G)alpha(H) = gamma_t(G) = gamma_t(H)",
                      _hyp_e1, _e1, swap_invariant=True),
         TheoremEntry("TF11", 1, "the eleven connected triangle-free well-dominated "
-                     "graphs with gamma <= 3", _hyp_tf_connected, _tf11, _tf11_tag),
+                     "graphs with gamma <= 3", _hyp_tf_connected, _tf11, tagged=True),
         TheoremEntry("G5WD", 1, "well-dominated, girth >= 5: pendant/5-cycle class "
                      "via the 0/2/4 edge condition, else K1, C7, or P10", _hyp_g5wd, _g5wd),
     ]

@@ -8,13 +8,14 @@ theorem check; graph6 appears only in counterexample certificates.  A sweep can
 fan out over a fork pool of at most one process per task, whose workers inherit
 the instances from a module slot and get only indices, so each factor keeps the
 identity that the theorems' factor memo keys on; without ``fork`` it runs
-in-process.  A task is one instance or, for a swap-invariant theorem, a pair
-(g, h) with its swap (h, g), which reuses a verdict that is not a
-counterexample.  Results are merged in instance order, so reports are identical
-regardless of scheduling.  Counterexample certificates carry the instance in
-graph6, the violated clause, and witness sets; the report keeps at most ``cap``
-certificates but always the full count.  A theorem with a tag hook also gets
-``members`` and ``member_tags`` (the sorted non-None tags) in ``details``.
+in-process.  The report aggregates the tasks' :class:`Verdict` objects in
+instance order, so it does not depend on scheduling.  For a swap-invariant
+theorem a pair (g, h) and its swap (h, g) are one task and share its verdict;
+a counterexample's swap is checked again after the map, so that its
+certificate names its own product.  A certificate carries the instance in
+graph6, the violated clause and witness sets; the report keeps at most ``cap``
+of them but always the full count, and for a tagged theorem ``members`` and
+the verdicts' sorted ``member_tags`` in ``details``.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .enumeration import DEFAULT_BUDGET, check_orders, enumerate_connected
 from .graph6 import load_graph6_file, parse_graph6, to_graph6  # noqa: F401
 from .graphs import MAX_ORDER, Graph, is_triangle_free
 from .classify import classify_small_triangle_free  # noqa: F401
-from .theorems import THEOREMS, check_instance, factor_memo
+from .theorems import THEOREMS, Verdict, check_instance, factor_memo
 
 # parse_graph6 and classify_small_triangle_free are not called here; they
 # stay importable because perfbench/tracer.py patches them on this module.
@@ -174,22 +175,12 @@ def _swaps(instances: list) -> array:
     return swaps
 
 
-# The running sweep, (theorem id, instances, pair swaps); fork workers inherit it.
-_sweep: tuple[str, list, array | None] | None = None
+# The running sweep, (theorem id, instances); fork workers inherit it.
+_sweep: tuple[str, list] | None = None
 
 
-def _check_task(i: int) -> tuple[str, str | None, dict | None, str | None]:
-    tid, instance = _sweep[0], _sweep[1][i]
-    verdict = check_instance(tid, instance)
-    hook = THEOREMS[tid].tag
-    tag = hook(instance) if hook and verdict.status != "hypothesis-not-met" else None
-    return verdict.status, verdict.clause, verdict.witness, tag
-
-
-def _check_pair_task(i: int) -> tuple:
-    """Pair ``i``'s row, shared by its swap, or both rows for a counterexample."""
-    first, j = _check_task(i), _sweep[2][i]
-    return first if j == i or first[0] != "counterexample" else (first, _check_task(j))
+def _check_task(i: int) -> Verdict:
+    return check_instance(_sweep[0], _sweep[1][i])
 
 
 def verify_corpus(
@@ -211,39 +202,39 @@ def verify_corpus(
     instances = _instances(tid, corpus, cache_dir)
     if THEOREMS[tid].swap_invariant:
         swaps = _swaps(instances)
-        task, tasks = _check_pair_task, array("i", (i for i, j in enumerate(swaps) if i <= j))
+        tasks = array("i", (i for i, j in enumerate(swaps) if i <= j))
     else:
-        swaps, task, tasks = None, _check_task, range(len(instances))
+        swaps, tasks = None, range(len(instances))
     workers = min(workers, len(tasks))
-    _sweep = tid, instances, swaps
+    _sweep = tid, instances
     try:
         with factor_memo():
             if workers > 1 and "fork" in get_all_start_methods():
                 chunk = max(1, len(tasks) // (workers * 8))
                 with get_context("fork").Pool(workers) as pool:
-                    results = pool.map(task, tasks, chunksize=chunk)
+                    verdicts = pool.map(_check_task, tasks, chunksize=chunk)
             else:
-                results = [task(i) for i in tasks]
+                verdicts = [_check_task(i) for i in tasks]
+            if swaps is not None:  # a counterexample's swap gets its own certificate
+                shared, verdicts = verdicts, [None] * len(instances)
+                for i, verdict in zip(tasks, shared):
+                    j = swaps[i]
+                    verdicts[i] = verdicts[j] = verdict
+                    if j != i and verdict.status == "counterexample":
+                        verdicts[j] = _check_task(j)
     finally:
         _sweep = None
-    if swaps is not None:  # a row has 4 fields, a pair of rows 2
-        pairs, results = results, [None] * len(instances)
-        for i, row in zip(tasks, pairs):
-            results[i], results[swaps[i]] = row if len(row) == 2 else (row, row)
 
-    counts = Counter(status for status, *_ in results)
+    counts = Counter(v.status for v in verdicts)
     certs: list[dict] = []
-    for instance, (status, clause, witness, _) in zip(instances, results):
-        if status == "counterexample" and len(certs) < cap:
-            cert = {"clause": clause, "witness_sets": witness or {}}
-            if isinstance(instance, tuple):
-                cert["pair"] = [to_graph6(x) for x in instance]
-            else:
-                cert["graph6"] = to_graph6(instance)
-            certs.append(cert)
-    member_tags = sorted(tag for *_, tag in results if tag is not None)
-    details = ({} if THEOREMS[tid].tag is None
-               else {"members": len(member_tags), "member_tags": member_tags})
+    for instance, v in zip(instances, verdicts):
+        if v.status == "counterexample" and len(certs) < cap:
+            where = ({"pair": [to_graph6(x) for x in instance]} if isinstance(instance, tuple)
+                     else {"graph6": to_graph6(instance)})
+            certs.append({"clause": v.clause, "witness_sets": v.witness or {}, **where})
+    member_tags = sorted(v.tag for v in verdicts if v.tag is not None)
+    details = ({"members": len(member_tags), "member_tags": member_tags}
+               if THEOREMS[tid].tagged else {})
     elapsed = (time.perf_counter() - start) * 1000.0
     return VerificationReport(
         theorem=tid,

@@ -39,12 +39,21 @@ def test_lne_example_corpus_accounting():
     assert report.scanned == report.holds + report.hypothesis_not_met
 
 
-def test_tf11_members_on_small_corpus():
+def test_tf11_members_on_small_corpus(monkeypatch):
+    calls = []
+    classify = theorems.classify_small_triangle_free
+    monkeypatch.setattr(theorems, "classify_small_triangle_free",
+                        lambda g: calls.append(g) or classify(g))
     report = verify_corpus("TF11", CorpusSpec(1, 7, triangle_free=True))
     assert report.details["members"] == 11
     assert report.details["member_tags"] == sorted(
         ["K1", "K2", "P4", "C4", "C5", "C7", "P3-corona", "H1", "H2", "H3", "H4"]
     )
+    # each instance that meets the hypothesis is classified once, for its verdict's tag
+    assert len(calls) == report.scanned - report.hypothesis_not_met > 0
+    none = verify_corpus("TF11", CorpusSpec(8, 8, triangle_free=True))
+    assert none.scanned > 0 and none.details == {"members": 0, "member_tags": []}
+    assert check_instance("TF11", cycle_graph(5)).tag == "C5"
 
 
 def test_report_json_shape():
