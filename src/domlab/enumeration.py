@@ -53,26 +53,36 @@ def all_graphs(n: int, triangle_free: bool = False) -> list[Graph]:
         by_edges: dict[int, list[Graph]] = {}
         for g in all_graphs(n - 1, triangle_free):
             by_edges.setdefault(g.edge_count, []).append(g)
-        gens_of: dict[Graph, list[tuple[int, ...]]] = {}
+        # The new vertex, of degree k, has minimum degree iff k is at most
+        # last = g's minimum degree + 1 and S holds the vertices of degree
+        # below k: none while k < last, g's minimum-degree vertices at k ==
+        # last.  parents holds (last, gens, that S part, the other vertices)
+        # for each g until its last k.
+        parents: dict[Graph, tuple[int, list[tuple[int, ...]], int, list[int]]] = {}
+        everyone = list(range(n - 1))
         bit = 1 << (n - 1)
         out = []
         for m in range(n * (n - 1) // 2 + 1):
             level: set[Graph] = set()
             for k in range(min(m, n - 1) + 1):
                 for g in by_edges.get(m - k, ()):
-                    # The new vertex, of degree k, has minimum degree iff k is
-                    # at most g's minimum degree + 1 and S holds the vertices
-                    # of degree below k.  After the last such k, gens go.
-                    deg = [row.bit_count() for row in g.adj]
-                    last = min(min(deg) + 1, n - 1)
                     if k == 0:
-                        gens_of[g] = canonical_labeling(g)[1]
-                    gens = gens_of.pop(g) if k == last else gens_of.get(g)
-                    low = mask_of(v for v, d in enumerate(deg) if d < k)
-                    if k > last or low.bit_count() > k:
+                        deg = [row.bit_count() for row in g.adj]
+                        last = min(deg) + 1
+                        parents[g] = (last, canonical_labeling(g)[1],
+                                      mask_of(v for v, d in enumerate(deg) if d < last),
+                                      [v for v, d in enumerate(deg) if d >= last])
+                    entry = parents.get(g)
+                    if entry is None:  # k is past g's last
                         continue
+                    last, gens, low, free = entry
+                    if k < last:
+                        low, free = 0, everyone
+                    else:
+                        del parents[g]
+                        if low.bit_count() > k:
+                            continue
                     seen: set[int] = set()
-                    free = [v for v, d in enumerate(deg) if d >= k]
                     for t in combinations(free, k - low.bit_count()):
                         s = low | mask_of(t)
                         if s in seen or triangle_free and any(g.adj[v] & s for v in iter_bits(s)):
@@ -110,16 +120,21 @@ def _new_vertex_may_be_deleted(adj: tuple[int, ...], k: int) -> bool:
     """True when the last vertex, of minimum degree k, has the largest sorted
     tuple of neighbour degrees among the vertices of degree k."""
     deg = [row.bit_count() for row in adj]
-    tuples = []
-    for row, d in zip(adj, deg):
-        if d == k:
-            t = []
-            while row:
-                low = row & -row
-                row ^= low
-                t.append(deg[low.bit_length() - 1])
-            tuples.append(sorted(t))
-    return tuples[-1] == max(tuples)
+    mine: list[int] | None = None
+    for row in reversed(adj):  # the new vertex's tuple first
+        if row.bit_count() != k:
+            continue
+        t = []
+        while row:
+            low = row & -row
+            row ^= low
+            t.append(deg[low.bit_length() - 1])
+        t.sort()
+        if mine is None:
+            mine = t
+        elif t > mine:
+            return False
+    return True
 
 
 def check_orders(lo: int, hi: int, budget: int) -> None:

@@ -10,6 +10,28 @@ of twin vertices seed those automorphisms at the root.  Pruning by
 automorphisms only skips leaves that share an encoding with one searched, so
 the smallest leaf, and hence the canonical form, does not depend on them.
 
+Refinement signs a vertex with its counts of neighbours in the current cells,
+packed into one int, 6 bits per cell, first cell highest: a count is below
+MAX_ORDER = 62 < 64, and every signature of one round has as many cells, so
+the ints sort as the tuples of counts would.
+
+A search node whose cells of two or more vertices are each a set of twins
+(all equal open rows, or all equal closed rows) is finished as a leaf that
+lists each cell's vertices in ascending order.  It is the leaf the search
+reaches below that node by individualizing the lowest vertex of a cell in
+turn, and the search reaches no other leaf there:
+
+- twins are adjacent to the same vertices outside their cell, so
+  individualizing one splits no other cell and leaves the rest a cell of
+  twins;
+- the chained swaps of consecutive twins that are not yet individualized
+  fix the individualized prefix, so they map any sibling to the lowest such
+  twin, tried first; by induction the individualized members of a twin class
+  are always its lowest, and these swaps prune every sibling below the node.
+
+So no leaf and no generator is lost: the labels and the generators are those
+of the full search.  The first leaf is encoded only when a second one comes.
+
 Canonical labeling rather than invariant fingerprints is used throughout so
 that corpus deduplication is exact.
 """
@@ -34,13 +56,15 @@ def _refine(n: int, adj: tuple[int, ...], cells: list[int]) -> list[int]:
             if cell & (cell - 1) == 0:  # singleton
                 new.append(cell)
                 continue
-            groups: dict[tuple[int, ...], int] = {}
+            groups: dict[int, int] = {}
             rest = cell
             while rest:
                 low = rest & -rest
                 rest ^= low
                 row = adj[low.bit_length() - 1]
-                sig = tuple([(row & c).bit_count() for c in cells])
+                sig = 0
+                for c in cells:
+                    sig = sig << 6 | (row & c).bit_count()
                 groups[sig] = groups.get(sig, 0) | low
             if len(groups) == 1:
                 new.append(cell)
@@ -92,38 +116,59 @@ def canonical_labeling(g: Graph) -> tuple[list[int], list[tuple[int, ...]]]:
         bydeg[d] = bydeg.get(d, 0) | (1 << v)
     cells = _refine(n, adj, [bydeg[d] for d in sorted(bydeg)])
 
-    best_enc: int | None = None
+    best_enc = 0  # set with the second leaf
     best_lab: list[int] | None = None
     leaves: dict[int, list[int]] = {}
     gens: list[tuple[int, ...]] = []
     # Twins (equal open rows, or equal closed rows) share a cell, and swapping
     # two is an automorphism.  Chained swaps (previous twin, v) survive the
     # stabilizer filter below while the lower twins get individualized.
-    last: dict[int, int] = {}
+    # classes maps a row to the twins that have it; a vertex has nontrivial
+    # twins of one kind at most.
+    classes: dict[int, int] = {}
     for v in iter_bits(sum(cell for cell in cells if cell & (cell - 1))):
         for row in (adj[v], adj[v] | 1 << v):
-            if row in last:
+            cls = classes.get(row, 0)
+            if cls:
+                u = cls.bit_length() - 1
                 p = list(range(n))
-                p[v], p[last[row]] = last[row], v
+                p[v], p[u] = u, v
                 gens.append(tuple(p))
-            last[row] = v
+            classes[row] = cls | 1 << v
+    twins = [classes.get(row, 0) | classes.get(row | 1 << v, 0) for v, row in enumerate(adj)]
 
     def search(cells: list[int], fixed: tuple[int, ...]) -> None:
         nonlocal best_enc, best_lab
         target = -1
         tsize = n + 1
+        leaf = True  # every cell of two or more vertices is a set of twins
         for idx, cell in enumerate(cells):
             size = cell.bit_count()
-            if 1 < size < tsize:
-                target = idx
-                tsize = size
-        if target < 0:
-            lab = [cell.bit_length() - 1 for cell in cells]
+            if size > 1:
+                if size < tsize:
+                    target = idx
+                    tsize = size
+                if leaf:
+                    cls = twins[(cell & -cell).bit_length() - 1]
+                    leaf = cell | cls == cls
+        if leaf:
+            lab = []
+            for cell in cells:
+                while cell:
+                    low = cell & -cell
+                    cell ^= low
+                    lab.append(low.bit_length() - 1)
+            if best_lab is None:
+                best_lab = lab
+                return
+            if not leaves:
+                best_enc = _encode(n, adj, best_lab)
+                leaves[best_enc] = best_lab
             enc = _encode(n, adj, lab)
             other = leaves.get(enc)
             if other is None:
                 leaves[enc] = lab
-                if best_enc is None or enc < best_enc:
+                if enc < best_enc:
                     best_enc, best_lab = enc, lab
             else:
                 perm = [0] * n

@@ -1,8 +1,13 @@
+import hashlib
 import math
+import random
 from itertools import permutations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from domlab import isomorphism as iso
 from domlab.catalog import (
     complete_graph,
     corona,
@@ -172,21 +177,21 @@ def test_automorphism_generators_generate_the_whole_group(rng):
     Graph(6),
 ], ids=["K7", "K1,6", "K3,4", "edgeless-6"])
 def test_twin_swaps_leave_one_leaf(monkeypatch, g):
-    # Every cell of these graphs is a class of twins, so the swaps seeded at
-    # the root prune all leaves but the first; a search that finds the swaps
-    # only from equal leaves reaches 22, 16, 10 and 16 leaves.
-    import domlab.isomorphism as iso
-
-    leaves = []
-    encode = iso._encode
-
-    def counting(n, adj, lab):
-        leaves.append(lab)
-        return encode(n, adj, lab)
-
-    monkeypatch.setattr(iso, "_encode", counting)
+    # Every cell of these graphs is a class of twins, so the root is a leaf:
+    # one refinement and one leaf.  A search that individualizes down to
+    # singletons refines 7, 6, 6 and 6 times; one that finds the swaps only
+    # from equal leaves reaches 22, 16, 10 and 16 leaves.
+    calls = {"_refine": 0, "_encode": 0}
+    for name in calls:
+        def counting(*args, name=name, real=getattr(iso, name)):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(iso, name, counting)
     gens = canonical_labeling(g)[1]
-    assert len(leaves) == 1
+    assert calls["_refine"] == 1
+    # the first leaf is encoded only when a second one comes, so a search
+    # that encodes nothing reached one leaf
+    assert calls["_encode"] == 0
     assert all(g.relabeled(p) == g for p in gens)
 
 
@@ -197,6 +202,66 @@ def test_relabeled_order_8_labels_back(rng):
         perm = list(range(8))
         rng.shuffle(perm)
         assert canonical_graph(g.relabeled(perm)) == g
+
+
+# sha256 over "lab gens" lines of canonical_labeling for every graph of order
+# <= 7 and a relabeled copy of each.  The generators steer the enumerator's
+# orbit pruning, so they are pinned along with the labels.
+LABELING_SHA256 = "27604b9fb8459882396690c129c85ad6851270d126f3e3209ddaf24f87497e6e"
+
+
+def test_canonical_labels_and_generators_are_pinned():
+    rng = random.Random(7)
+    lines = []
+    for n in range(1, 8):
+        for g in all_graphs(n):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            for h in (g, g.relabeled(perm)):
+                lab, gens = canonical_labeling(h)
+                lines.append(f"{lab} {gens}")
+    assert len(lines) == 2 * 1252
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == LABELING_SHA256
+
+
+def tuple_refine(cells, adj):
+    """Reference refinement: each vertex signed by the tuple of its counts of
+    neighbours in the current cells."""
+    while True:
+        new = []
+        for cell in cells:
+            groups = {}
+            for v in set_of(cell):
+                sig = tuple((adj[v] & c).bit_count() for c in cells)
+                groups[sig] = groups.get(sig, 0) | 1 << v
+            new.extend(groups[sig] for sig in sorted(groups))
+        if len(new) == len(cells):
+            return new
+        cells = new
+
+
+@st.composite
+def partitioned_graphs(draw):
+    """A graph of order <= 12 and an ordered partition of its vertices."""
+    n = draw(st.integers(1, 12))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    color = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    cells = [mask_of(v for v in range(n) if color[v] == c) for c in range(n)]
+    return Graph(n, [e for e, k in zip(pairs, keep) if k]), [c for c in cells if c]
+
+
+# Vertices 0 and 1 count (0, 33) and (1, 1) neighbours in the two cells: a
+# signature of fewer than 6 bits per cell merges or misorders them.
+WIDE = Graph(36, [(0, v) for v in range(3, 36)] + [(1, 2), (1, 3)])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(partitioned_graphs())
+@example((WIDE, [0b111, WIDE.full_mask ^ 0b111]))
+def test_refine_matches_tuple_signatures(gc):
+    g, cells = gc
+    assert iso._refine(g.n, g.adj, cells) == tuple_refine(cells, g.adj)
 
 
 def test_induced_and_relabel():
