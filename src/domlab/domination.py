@@ -13,7 +13,12 @@ exactly once and supports early exit, which the well-dominated decider
 uses.  Under a size bound the kernel also cuts nodes that cannot reach a
 cover within it: gamma is the last set of a stream whose bound drops below
 each set found, and the minimum dominating sets are the stream bounded by
-gamma.  The public generators re-yield the sets in lexicographic order for
+gamma.  Under a size floor, its mirror, the kernel cuts nodes that cannot
+grow past it: every member added below a node needs a private vertex the
+node leaves undominated, so at most as many members as undominated
+vertices can join.  Gamma is the final floor of a stream whose floor starts
+at a greedy maximal independent set and rises to each set found.  The
+public generators re-yield the sets in lexicographic order for
 reproducible reports.
 
 The other two run under a lock: a chosen vertex c forbids N[c] in its
@@ -123,6 +128,7 @@ def _minimal_sets(
     bound: list[int] | None = None,
     lock: Sequence[int] | None = None,
     forbidden: int = 0,
+    floor: list[int] | None = None,
 ) -> Iterator[int]:
     """Every minimal set whose rows cover ``full``, once each, in DFS order.
 
@@ -130,9 +136,11 @@ def _minimal_sets(
     is chosen.  Stack entries are (set, dominated, dominated once,
     forbidden, size).  With ``bound``, only sets of at most ``bound[0]``
     members come out, and the caller may lower ``bound[0]`` between
-    results.  With ``lock``, a chosen vertex c forbids ``lock[c]`` in its
-    subtree and the private-neighbor prune is skipped: every cover the lock
-    allows that this branching reaches comes out once, minimal or not.
+    results.  With ``floor`` (free kernel only), only sets of more than
+    ``floor[0]`` members come out, and the caller may raise ``floor[0]``.
+    With ``lock``, a chosen vertex c forbids ``lock[c]`` in its subtree and
+    the private-neighbor prune is skipped: every cover the lock allows that
+    this branching reaches comes out once, minimal or not.
     """
     stack = [(0, 0, 0, forbidden, 0)]
     while stack:
@@ -140,6 +148,9 @@ def _minimal_sets(
         if bound is not None and size > bound[0]:
             continue
         rem = full & ~dom
+        # Each member added below keeps a private vertex of rem.
+        if floor is not None and size + rem.bit_count() <= floor[0]:
+            continue
         if not rem:
             yield s
             continue
@@ -269,7 +280,13 @@ def independent_domination_number(g: Graph) -> int:
 
 
 def upper_domination_number(g: Graph) -> int:
-    return max(s.bit_count() for s in _iter_minimal_dominating(g))
+    """Gamma: the final floor of a stream whose floor starts at a greedy
+    maximal independent set (a minimal dominating set) and rises to each
+    set found."""
+    floor = [_greedy_independent(g.adj, range(g.n)).bit_count()]
+    for s in _minimal_sets(_closed_adj(g), g.full_mask, floor=floor):
+        floor[0] = s.bit_count()
+    return floor[0]
 
 
 # -- well-dominated / well-covered deciders -----------------------------------

@@ -5,6 +5,8 @@ row-major index map (a, b) -> a*q + b, which is fixed and exposed so layers
 and counterexample certificates can name product vertices stably.
 :func:`spread` is its block arithmetic: ``spread(s, q) * t`` is the vertex
 set s x t (t < 2**q, so there are no carries), for rows and witness sets.
+It spreads s a byte at a time, from a table of the 256 byte spreads that
+is built the first time step q is used (only the steps in use get one).
 
 Edge rules for (a, b) ~ (c, d):
 
@@ -65,13 +67,28 @@ class ProductGraph:
         raise ValueError(f'which must be "first" or "second", got {which!r}')
 
 
+# step -> the spreads of the 256 bytes, built the first time a step is used.
+_BYTE_SPREADS: dict[int, list[int]] = {}
+
+
+def _byte_spreads(step: int) -> list[int]:
+    table = [0]
+    for bit in range(8):
+        high = 1 << bit * step
+        table += [low | high for low in table]
+    _BYTE_SPREADS[step] = table
+    return table
+
+
 def spread(mask: int, step: int) -> int:
-    """Bit ``v * step`` for each bit v of ``mask``."""
-    out = 0
-    while mask:
-        low = mask & -mask
-        out |= 1 << (low.bit_length() - 1) * step
-        mask ^= low
+    """Bit ``v * step`` for each bit v of ``mask``, one byte of the mask
+    per table lookup."""
+    table = _BYTE_SPREADS.get(step) or _byte_spreads(step)
+    out = table[mask & 255]
+    shift = 0
+    while mask := mask >> 8:
+        shift += 8 * step
+        out |= table[mask & 255] << shift
     return out
 
 

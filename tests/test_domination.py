@@ -32,6 +32,7 @@ from domlab.domination import (
     open_irredundant_minimum_dominating,
     private_neighbors,
     total_domination_numbers,
+    upper_domination_number,
 )
 from domlab.enumeration import all_graphs, connected_graphs
 from domlab.graphs import Graph, iter_bits, mask_of, set_of
@@ -176,6 +177,7 @@ def test_product_verdicts_match_oracle():
                 p = product(kind, g, h).graph
                 gamma, upper, ind, alpha = bruteforce.profile_numbers(p)
                 assert domination_number(p) == gamma, (kind, g, h)
+                assert upper_domination_number(p) == upper, (kind, g, h)
                 assert is_well_dominated(p) == (gamma == upper), (kind, g, h)
                 assert is_well_covered(p) == (ind == alpha), (kind, g, h)
                 checked += 1

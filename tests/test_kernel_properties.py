@@ -22,6 +22,7 @@ from domlab.domination import (
     minimum_dominating_sets,
     private_neighbors,
     total_domination_numbers,
+    upper_domination_number,
     well_covered_certificate,
     well_dominated_certificate,
 )
@@ -88,6 +89,13 @@ def test_isolatable_vertices_match_oracle(g):
     oracle = bruteforce.isolatable(g)
     assert isolatable_vertices(g) == oracle
     assert has_isolatable_vertex(g) == (oracle != 0)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(graphs())
+def test_upper_domination_number_matches_oracle(g):
+    assert upper_domination_number(g) == max(
+        s.bit_count() for s in bruteforce.all_minimal_dominating(g))
 
 
 @PROPERTY

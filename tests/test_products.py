@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from domlab.catalog import complete_graph, cycle_graph, path_graph
 from domlab.domination import domination_number
@@ -10,6 +12,7 @@ from domlab.products import (
     direct,
     disjunctive,
     product,
+    spread,
 )
 
 from bruteforce import expected_edge_count, product_adjacency
@@ -106,6 +109,31 @@ def test_product_rows_match_edge_rules_200_random_pairs(rng):
 
     for k in range(200):
         g, h = factor(k), factor(k // 3)
+        for kind in PRODUCT_KINDS:
+            assert list(product(kind, g, h).graph.adj) == product_adjacency(kind, g, h), kind
+
+
+def _spread_bit_by_bit(mask: int, step: int) -> int:
+    out = 0
+    for v in range(mask.bit_length()):
+        if mask >> v & 1:
+            out |= 1 << v * step
+    return out
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(0, (1 << 62) - 1))
+def test_spread_matches_bit_loop_at_every_step(mask):
+    for step in range(1, 63):
+        assert spread(mask, step) == _spread_bit_by_bit(mask, step), step
+
+
+def test_product_rows_match_edge_rules_past_one_byte(rng):
+    # A first factor of order 9..20 has rows wider than one byte, so each
+    # row is spread from several table lookups.
+    for k in range(30):
+        g = random_graph(rng, rng.randint(9, 20), (0.0, 1.0, rng.random())[k % 3])
+        h = random_graph(rng, rng.randint(1, 62 // g.n), rng.random())
         for kind in PRODUCT_KINDS:
             assert list(product(kind, g, h).graph.adj) == product_adjacency(kind, g, h), kind
 
