@@ -321,6 +321,8 @@ def _cmd_verify(args) -> int:
         raise CliError(f"unknown theorem id {tid!r}; see verify --list")
     if args.corpus is not None and (args.min_order, args.max_order) != (None, None):
         raise CliError("--min-order and --max-order do not apply to a --corpus file")
+    if args.product_cap is not None and THEOREMS[tid].arity == 1:
+        raise CliError(f"--product-cap does not apply to {tid}, which takes one graph")
     from .verify import DEFAULT_CORPORA
 
     default = DEFAULT_CORPORA[tid]
@@ -390,8 +392,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("greedy", help="run a greedy dominating/independent procedure")
     p.add_argument("graph")
     p.add_argument("--mode", choices=("dominating", "independent"), default="dominating")
-    p.add_argument("--seed", type=int, default=None, help="shuffle the ordering with this seed")
-    p.add_argument("--ordering", default=None, help="explicit comma-separated vertex ordering")
+    order = p.add_mutually_exclusive_group()
+    order.add_argument("--seed", type=int, default=None, help="shuffle the ordering with this seed")
+    order.add_argument("--ordering", default=None, help="explicit comma-separated vertex ordering")
     add_json(p)
     p.set_defaults(func=_cmd_greedy)
 

@@ -4,13 +4,13 @@ isomorphism class.
 Order n is built from order n-1 by vertex extension (B. D. McKay,
 "Isomorph-free exhaustive generation", J. Algorithms 26, 1998): each
 representative g of order n-1 gets a new vertex v joined to vertex sets S
-that leave v with minimum degree, and the children are deduplicated by
-canonical form, one edge count at a time.  Orbit pruning joins only the
-first S of each orbit of Aut(g) on vertex sets (from the generators that
-``canonical_labeling(g)`` finds) that passes the min-degree test and, for
-triangle-free corpora, the independence test.  Canonical deletion labels a
-child only if v has the largest sorted tuple of neighbour degrees among its
-minimum-degree vertices.
+that leave v with minimum degree.  Each g is walked once, for every degree
+of v, and its children go into one set of canonical forms per edge count.
+Orbit pruning joins only the first S of each orbit of Aut(g) on vertex sets
+(from the generators that ``canonical_labeling(g)`` finds) that passes the
+min-degree test and, for triangle-free corpora, the independence test.
+Canonical deletion labels a child only if v has the largest sorted tuple of
+neighbour degrees among its minimum-degree vertices.
 
 No class is missed.  Let v be a minimum-degree vertex of a graph G with the
 largest tuple, and f an isomorphism from G - v onto a representative g.
@@ -20,9 +20,10 @@ that child is isomorphic to G with the new vertex in v's role, so it is
 labeled.  Triangle-free corpora may join only independent S because G - v is
 triangle-free when G is.  Connectivity is filtered at the end.
 
-Computed corpora are cached in-process; a cache directory can also be used,
-with the file layout ``connected-n{N}.g6`` / ``connected-n{N}-trianglefree.g6``
-(written atomically).
+Computed corpora are cached in-process.  A file ``connected-n{N}.g6`` /
+``connected-n{N}-trianglefree.g6`` in a cache directory is that directory's
+corpus: read once per process, or written atomically from the enumerator's
+when missing, it never enters the enumerator's own cache.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ DEFAULT_BUDGET = 9
 
 _all_cache: dict[tuple[int, bool], list[Graph]] = {}
 _connected_cache: dict[tuple[int, bool], list[Graph]] = {}
+_file_cache: dict[Path, list[Graph]] = {}
 
 
 def all_graphs(n: int, triangle_free: bool = False) -> list[Graph]:
@@ -50,49 +52,38 @@ def all_graphs(n: int, triangle_free: bool = False) -> list[Graph]:
     if n == 1:
         out = [Graph(1)]
     else:
-        by_edges: dict[int, list[Graph]] = {}
-        for g in all_graphs(n - 1, triangle_free):
-            by_edges.setdefault(g.edge_count, []).append(g)
-        # The new vertex, of degree k, has minimum degree iff k is at most
-        # last = g's minimum degree + 1 and S holds the vertices of degree
-        # below k: none while k < last, g's minimum-degree vertices at k ==
-        # last.  parents holds (last, gens, that S part, the other vertices)
-        # for each g until its last k.
-        parents: dict[Graph, tuple[int, list[tuple[int, ...]], int, list[int]]] = {}
-        everyone = list(range(n - 1))
+        levels: dict[int, set[Graph]] = {}
         bit = 1 << (n - 1)
         out = []
-        for m in range(n * (n - 1) // 2 + 1):
-            level: set[Graph] = set()
-            for k in range(min(m, n - 1) + 1):
-                for g in by_edges.get(m - k, ()):
-                    if k == 0:
-                        deg = [row.bit_count() for row in g.adj]
-                        last = min(deg) + 1
-                        parents[g] = (last, canonical_labeling(g)[1],
-                                      mask_of(v for v, d in enumerate(deg) if d < last),
-                                      [v for v, d in enumerate(deg) if d >= last])
-                    entry = parents.get(g)
-                    if entry is None:  # k is past g's last
+        for g in all_graphs(n - 1, triangle_free):
+            # parents come by edge count, so the levels below g's are complete
+            for m in sorted(m for m in levels if m < g.edge_count):
+                out.extend(sorted(levels.pop(m), key=to_graph6))
+            # The new vertex, of degree k, has minimum degree iff k <= last =
+            # g's minimum degree + 1 and S holds the vertices of degree below
+            # k: none while k < last, g's minimum-degree vertices at k == last.
+            deg = [row.bit_count() for row in g.adj]
+            last = min(deg) + 1
+            gens = canonical_labeling(g)[1]
+            for k in range(last + 1):
+                low, free = 0, range(n - 1)
+                if k == last:
+                    low = mask_of(v for v, d in enumerate(deg) if d < last)
+                    free = [v for v, d in enumerate(deg) if d >= last]
+                    if low.bit_count() > k:
                         continue
-                    last, gens, low, free = entry
-                    if k < last:
-                        low, free = 0, everyone
-                    else:
-                        del parents[g]
-                        if low.bit_count() > k:
-                            continue
-                    seen: set[int] = set()
-                    for t in combinations(free, k - low.bit_count()):
-                        s = low | mask_of(t)
-                        if s in seen or triangle_free and any(g.adj[v] & s for v in iter_bits(s)):
-                            continue
-                        if gens:
-                            seen |= _orbit(s, gens)
-                        adj = (*(row | bit if s >> v & 1 else row for v, row in enumerate(g.adj)), s)
-                        if _new_vertex_may_be_deleted(adj, k):
-                            level.add(canonical_graph(Graph._raw(n, adj)))
-            out.extend(sorted(level, key=to_graph6))
+                level = levels.setdefault(g.edge_count + k, set())
+                seen: set[int] = set()
+                for t in combinations(free, k - low.bit_count()):
+                    s = low | mask_of(t)
+                    if s in seen or triangle_free and any(g.adj[v] & s for v in iter_bits(s)):
+                        continue
+                    if gens:
+                        seen |= _orbit(s, gens)
+                    adj = (*(row | bit if s >> v & 1 else row for v, row in enumerate(g.adj)), s)
+                    if _new_vertex_may_be_deleted(adj, k):
+                        level.add(canonical_graph(Graph._raw(n, adj)))
+        out += [h for m in sorted(levels) for h in sorted(levels[m], key=to_graph6)]
     _all_cache[key] = out
     return out
 
@@ -177,20 +168,19 @@ def _stream(n: int, triangle_free: bool, cache_dir: str | Path | None) -> Iterat
     yield from _load_or_build_connected(n, triangle_free, cache_dir)
 
 
-def _cache_path(cache_dir: str | Path, n: int, triangle_free: bool) -> Path:
-    suffix = "-trianglefree" if triangle_free else ""
-    return Path(cache_dir) / f"connected-n{n}{suffix}.g6"
-
-
 def _load_or_build_connected(
     n: int, triangle_free: bool, cache_dir: str | Path | None
 ) -> list[Graph]:
-    path = None if cache_dir is None else _cache_path(cache_dir, n, triangle_free)
-    if path is not None:  # an unusable directory fails here, not after the build
-        path.parent.mkdir(parents=True, exist_ok=True)
-    if path is not None and path.exists() and (n, triangle_free) not in _connected_cache:
-        _connected_cache[n, triangle_free] = load_graph6_file(path)
-    graphs = connected_graphs(n, triangle_free)
-    if path is not None and not path.exists():
-        save_graph6_file(path, graphs)
-    return graphs
+    if cache_dir is None:
+        return connected_graphs(n, triangle_free)
+    suffix = "-trianglefree" if triangle_free else ""
+    path = (Path(cache_dir) / f"connected-n{n}{suffix}.g6").resolve()
+    if path not in _file_cache:
+        if path.exists():
+            _file_cache[path] = load_graph6_file(path)
+        else:  # an unusable directory fails at mkdir, not after the build
+            path.parent.mkdir(parents=True, exist_ok=True)
+            graphs = connected_graphs(n, triangle_free)
+            save_graph6_file(path, graphs)
+            _file_cache[path] = graphs
+    return _file_cache[path]

@@ -201,6 +201,31 @@ def test_verify_bad_workers_or_cap_fail_before_instances(capsys, monkeypatch, ar
     assert "workers must be at least 1 and cap at least 0" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "CHAIN", "--product-cap", "5", "--workers", "1"],
+     "--product-cap does not apply to CHAIN"),
+    (["greedy", "named:cycle:5", "--seed", "3", "--ordering", "0,1,2,3,4"],
+     "not allowed with argument"),
+], ids=["verify-single-graph-product-cap", "greedy-seed-and-ordering"])
+def test_ignored_flags_fail_before_any_work(capsys, monkeypatch, argv, message):
+    import domlab.cli
+    import domlab.verify
+
+    def no_work(*args):
+        raise AssertionError("work started before the flags were checked")
+
+    monkeypatch.setattr(domlab.verify, "_instances", no_work)
+    monkeypatch.setattr(domlab.cli, "load_graphs", no_work)
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects conflicting flags itself
+        code = exc.code
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.out == ""
+    assert message in out.err
+
+
 @pytest.mark.parametrize("argv", [
     ["enumerate", "70", "--budget", "80"],
     ["verify", "LNE", "--max-order", "70", "--budget", "80", "--workers", "1"],

@@ -10,7 +10,7 @@ from domlab.enumeration import (
 )
 from domlab.graph6 import load_graph6_file, save_graph6_file, to_graph6
 from domlab.graphs import Graph, is_connected, is_triangle_free
-from domlab.isomorphism import canonical_key
+from domlab.isomorphism import canonical_graph, canonical_key
 
 import bruteforce
 
@@ -152,6 +152,7 @@ STAR5 = Graph(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
 def empty_caches(monkeypatch):
     monkeypatch.setattr(enumeration, "_all_cache", {})
     monkeypatch.setattr(enumeration, "_connected_cache", {})
+    monkeypatch.setattr(enumeration, "_file_cache", {})
 
 
 def test_cache_file_is_read_not_rebuilt(tmp_path, empty_caches):
@@ -164,6 +165,19 @@ def test_cache_file_is_read_not_rebuilt(tmp_path, empty_caches):
     assert list(enumerate_connected(5, cache_dir=tmp_path)) == planted
     assert path.read_bytes() == before
     assert enumeration._all_cache == {}
+
+
+def test_cache_file_never_stands_in_for_the_enumerator(tmp_path, empty_caches):
+    planted = [STAR5, Graph(5, [(u, v) for v in range(5) for u in range(v)])]
+    save_graph6_file(tmp_path / "a" / "connected-n5.g6", planted)
+    assert list(enumerate_connected(5, cache_dir=tmp_path / "a")) == planted
+    census = list(enumerate_connected(5))
+    assert len(census) == KNOWN_CONNECTED[5]
+    assert all(canonical_graph(g) == g for g in census)
+    assert census == sorted(census, key=lambda g: (g.edge_count, to_graph6(g)))
+    assert connected_graphs(5) == census
+    assert list(enumerate_connected(5, cache_dir=tmp_path / "b")) == census
+    assert load_graph6_file(tmp_path / "b" / "connected-n5.g6") == census
 
 
 def test_order_cached_in_memory_gets_its_file(tmp_path, empty_caches):
@@ -184,16 +198,18 @@ def test_uncached_order_is_built_and_written(tmp_path, empty_caches):
 def test_order_7_labels_each_class_about_once(empty_caches, monkeypatch):
     # Orbit pruning and the canonical-deletion filter leave about one
     # labeling per class: 1,252 classes of order <= 7, 3,131 labelings
-    # when every child was labeled.
-    calls = []
-    label = enumeration.canonical_graph
+    # when every child was labeled.  Each graph of order <= 6 is a parent
+    # and gets one canonical_labeling, for its generators.
+    calls = {"canonical_graph": 0, "canonical_labeling": 0}
+    for name in calls:
+        def counting(g, label=getattr(enumeration, name), name=name):
+            calls[name] += 1
+            return label(g)
 
-    def counting(g):
-        calls.append(g)
-        return label(g)
-
-    monkeypatch.setattr(enumeration, "canonical_graph", counting)
+        monkeypatch.setattr(enumeration, name, counting)
     assert len(all_graphs(7)) == KNOWN_ALL[7]
     classes = sum(len(graphs) for graphs in enumeration._all_cache.values())
     assert classes == sum(KNOWN_ALL[n] for n in range(1, 8))
-    assert len(calls) <= 1400
+    assert calls["canonical_graph"] <= 1400
+    assert calls == {"canonical_graph": 1299,
+                     "canonical_labeling": sum(KNOWN_ALL[n] for n in range(1, 7))}
