@@ -15,7 +15,7 @@ Labeling conventions:
   ``H1``..``H4`` are the four 7-vertex graphs built around a pentagon
   (``H1``) or a square core (``H2``..``H4``).  Any labeling consistent with
   these adjacency lists works, since all downstream checks are
-  isomorphism-invariant; the records in :data:`VALIDATION_RECORDS` pin each
+  isomorphism-invariant; the records in ``tests/test_catalog.py`` pin each
   graph's structure.
 """
 
@@ -40,23 +40,6 @@ SPECIAL_EDGES: dict[str, list[tuple[int, int]]] = {
     # H1 plus both extra edges 2-3 and 0-6.
     "H4": [(0, 1), (0, 2), (1, 4), (2, 5), (4, 5), (3, 6), (5, 6), (2, 3), (0, 6)],
 }
-
-#: Expected structure of each special graph, asserted by the test suite so a
-#: wrong adjacency list fails loudly instead of silently corrupting sweeps.
-#: Fields: order, girth, domination number, well-dominated, well-covered.
-VALIDATION_RECORDS: dict[str, dict[str, object]] = {
-    "P10": {"order": 10, "girth": 5, "gamma": 4, "well_dominated": True,
-            "well_covered": True, "connected": True},
-    "H1": {"order": 7, "min_girth": 4, "gamma": 3, "well_dominated": True,
-           "well_covered": True, "connected": True},
-    "H2": {"order": 7, "min_girth": 4, "gamma": 3, "well_dominated": True,
-           "well_covered": True, "connected": True},
-    "H3": {"order": 7, "min_girth": 4, "gamma": 3, "well_dominated": True,
-           "well_covered": True, "connected": True},
-    "H4": {"order": 7, "min_girth": 4, "gamma": 3, "well_dominated": True,
-           "well_covered": True, "connected": True},
-}
-
 
 def complete_graph(n: int) -> Graph:
     return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])

@@ -20,9 +20,10 @@ import json
 import os
 import random
 import sys
+from dataclasses import replace
 from pathlib import Path
 
-from .catalog import named_graph
+from .catalog import SPECIAL_EDGES, named_graph
 from .classify import (
     classify_small_triangle_free,
     corona_decomposition,
@@ -37,12 +38,12 @@ from .domination import (
     is_well_dominated,
 )
 from .enumeration import DEFAULT_BUDGET, enumerate_connected
-from .graph6 import Graph6Error, load_graph6_file, parse_graph6, to_graph6
+from .graph6 import load_graph6_file, parse_graph6, save_graph6_file, to_graph6
 from .graphs import Graph, girth, is_connected, is_triangle_free, set_of
 from .isomorphism import are_isomorphic
 from .products import PRODUCT_KINDS, product
 from .theorems import THEOREMS
-from .verify import COUNTEREXAMPLE_CAP, CorpusSpec, PairCorpusSpec, verify_corpus
+from .verify import COUNTEREXAMPLE_CAP, DEFAULT_CORPORA, PairCorpusSpec, verify_corpus
 
 CONFIG_ENV = "DOMLAB_CONFIG"
 DEFAULT_CONFIG = "~/.domlab.conf"
@@ -52,26 +53,19 @@ class CliError(Exception):
     """Input or usage problem: exits with status 2."""
 
 
-def _load_config() -> dict[str, str]:
-    path = Path(os.environ.get(CONFIG_ENV, DEFAULT_CONFIG)).expanduser()
-    if not path.is_file():
-        return {}
-    out = {}
-    for raw in path.read_text().splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#") or "=" not in line:
-            continue
-        key, _, val = line.partition("=")
-        out[key.strip()] = val.strip()
-    return out
-
-
 def _setting(flag_value, env_name: str, config_key: str):
     if flag_value is not None:
         return flag_value
     if env_name in os.environ:
         return os.environ[env_name]
-    return _load_config().get(config_key)
+    path = Path(os.environ.get(CONFIG_ENV, DEFAULT_CONFIG)).expanduser()
+    value = None
+    if path.is_file():  # the key's last key=value line wins; a #comment never matches
+        for line in path.read_text().splitlines():
+            key, eq, val = line.partition("=")
+            if eq and key.strip() == config_key:
+                value = val.strip()
+    return value
 
 
 def load_graphs(arg: str) -> list[Graph]:
@@ -86,22 +80,10 @@ def load_graphs(arg: str) -> list[Graph]:
 
 def _identify(g: Graph) -> str | None:
     # Match against same-order named families for friendlier output.
-    from .catalog import complete_graph, cycle_graph, path_graph, special_graph
-
-    candidates: list[tuple[str, Graph]] = [
-        (f"named:complete:{g.n}", complete_graph(g.n)),
-        (f"named:path:{g.n}", path_graph(g.n)),
-    ]
-    if g.n >= 3:
-        candidates.append((f"named:cycle:{g.n}", cycle_graph(g.n)))
-    for name in ("P10", "H1", "H2", "H3", "H4"):
-        special = special_graph(name)
-        if special.n == g.n:
-            candidates.append((f"named:special:{name}", special))
-    for spec, other in candidates:
-        if are_isomorphic(g, other):
-            return spec
-    return None
+    families = ("complete", "path", "cycle") if g.n >= 3 else ("complete", "path")
+    specs = [f"{family}:{g.n}" for family in families]
+    specs += [f"special:{name}" for name in SPECIAL_EDGES]
+    return next((f"named:{spec}" for spec in specs if are_isomorphic(g, named_graph(spec))), None)
 
 
 def _emit(obj, as_json: bool) -> None:
@@ -111,31 +93,23 @@ def _emit(obj, as_json: bool) -> None:
         _print_human(obj)
 
 
-def _print_human(obj, indent: int = 0) -> None:
+def _print_human(obj: dict | list, indent: int = 0) -> None:
     pad = "  " * indent
     if isinstance(obj, dict):
-        for key in obj:
-            val = obj[key]
-            if isinstance(val, (dict, list)) and val and not _is_flat(val):
+        for key, val in obj.items():
+            if (isinstance(val, dict) and val
+                    or isinstance(val, list) and any(isinstance(x, (dict, list)) for x in val)):
                 print(f"{pad}{key}:")
                 _print_human(val, indent + 1)
             else:
                 print(f"{pad}{key}: {_flat(val)}")
-    elif isinstance(obj, list):
+    else:
         for item in obj:
             if isinstance(item, (dict, list)):
                 _print_human(item, indent)
                 print()
             else:
                 print(f"{pad}{_flat(item)}")
-    else:
-        print(f"{pad}{obj}")
-
-
-def _is_flat(val) -> bool:
-    if isinstance(val, list):
-        return all(not isinstance(x, (dict, list)) for x in val)
-    return False
 
 
 def _flat(val) -> str:
@@ -163,9 +137,15 @@ def _graph_summary(g: Graph) -> dict:
 # -- subcommands --------------------------------------------------------------
 
 
-def _cmd_invariants(args) -> int:
-    rows = [_graph_summary(g) for g in load_graphs(args.graph)]
+def _per_graph(args, row) -> list[dict]:
+    """Emit ``row(g)`` for each graph of ``args.graph`` (a bare row for one)."""
+    rows = [row(g) for g in load_graphs(args.graph)]
     _emit(rows if len(rows) > 1 else rows[0], args.json)
+    return rows
+
+
+def _cmd_invariants(args) -> int:
+    _per_graph(args, _graph_summary)
     return 0
 
 
@@ -181,16 +161,8 @@ _DECIDERS = {
 
 def _cmd_decide(args) -> int:
     decider = _DECIDERS[args.property]
-    rows = []
-    all_true = True
-    for g in load_graphs(args.graph):
-        value = decider(g)
-        all_true &= value
-        rows.append({"graph6": to_graph6(g), args.property: value})
-    _emit(rows if len(rows) > 1 else rows[0], args.json)
-    if getattr(args, "assert_") and not all_true:
-        return 1
-    return 0
+    rows = _per_graph(args, lambda g: {"graph6": to_graph6(g), args.property: decider(g)})
+    return 1 if args.assert_ and not all(row[args.property] for row in rows) else 0
 
 
 def _cmd_product(args) -> int:
@@ -231,41 +203,41 @@ def _to_dot(g: Graph) -> str:
     return "\n".join(lines)
 
 
-def _cmd_classify(args) -> int:
-    rows = []
-    for g in load_graphs(args.graph):
-        dec = corona_decomposition(g)
-        pc = pc_partition(g)
-        row = {
-            "graph6": to_graph6(g),
-            "small_triangle_free_tag": classify_small_triangle_free(g),
-            "universal_vertices": list(set_of(universal_vertices(g))),
-            "corona": None,
-            "pc_partition": None,
+def _classify_row(g: Graph) -> dict:
+    dec = corona_decomposition(g)
+    pc = pc_partition(g)
+    row = {
+        "graph6": to_graph6(g),
+        "small_triangle_free_tag": classify_small_triangle_free(g),
+        "universal_vertices": list(set_of(universal_vertices(g))),
+        "corona": None,
+        "pc_partition": None,
+    }
+    if dec is not None:
+        row["corona"] = {
+            "core_graph6": to_graph6(dec.core),
+            "core_vertices": list(dec.core_vertices),
+            "matching": [list(p) for p in dec.matching],
+            "ambiguous": dec.ambiguous,
         }
-        if dec is not None:
-            row["corona"] = {
-                "core_graph6": to_graph6(dec.core),
-                "core_vertices": list(dec.core_vertices),
-                "matching": [list(p) for p in dec.matching],
-                "ambiguous": dec.ambiguous,
-            }
-        if pc is not None:
-            row["pc_partition"] = {
-                "pendant_side": list(set_of(pc.p_mask)),
-                "cycle_side": list(set_of(pc.c_mask)),
-                "pendant_matching": [list(p) for p in pc.pendant_matching],
-                "basic_cycles": [list(c) for c in pc.basic_cycles],
-                "ambiguous": pc.ambiguous,
-            }
-        rows.append(row)
-    _emit(rows if len(rows) > 1 else rows[0], args.json)
+    if pc is not None:
+        row["pc_partition"] = {
+            "pendant_side": list(set_of(pc.p_mask)),
+            "cycle_side": list(set_of(pc.c_mask)),
+            "pendant_matching": [list(p) for p in pc.pendant_matching],
+            "basic_cycles": [list(c) for c in pc.basic_cycles],
+            "ambiguous": pc.ambiguous,
+        }
+    return row
+
+
+def _cmd_classify(args) -> int:
+    _per_graph(args, _classify_row)
     return 0
 
 
 def _cmd_greedy(args) -> int:
-    rows = []
-    for g in load_graphs(args.graph):
+    def row(g: Graph) -> dict:
         if args.ordering is not None:
             try:
                 order = [int(tok) for tok in args.ordering.split(",")]
@@ -279,32 +251,26 @@ def _cmd_greedy(args) -> int:
             result = greedy_minimal_dominating(g, order)
         else:
             result = greedy_maximal_independent(g, order)
-        rows.append({
+        return {
             "graph6": to_graph6(g),
             "mode": args.mode,
             "ordering": order,
             "result": list(set_of(result)),
             "size": result.bit_count(),
-        })
-    _emit(rows if len(rows) > 1 else rows[0], args.json)
+        }
+
+    _per_graph(args, row)
     return 0
 
 
 def _cmd_enumerate(args) -> int:
     cache_dir = _setting(args.cache_dir, "DOMLAB_CACHE_DIR", "cache_dir")
-    lines = []
-    for g in enumerate_connected(
-        args.order,
-        triangle_free=args.triangle_free,
-        budget=args.budget,
-        cache_dir=cache_dir,
-    ):
-        lines.append(to_graph6(g))
-    text = "\n".join(lines) + ("\n" if lines else "")
+    graphs = list(enumerate_connected(args.order, triangle_free=args.triangle_free,
+                                      budget=args.budget, cache_dir=cache_dir))
     if args.output:
-        Path(args.output).write_text(text, encoding="ascii")
+        save_graph6_file(args.output, graphs)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(f"{to_graph6(g)}\n" for g in graphs)
     return 0
 
 
@@ -323,24 +289,20 @@ def _cmd_verify(args) -> int:
         raise CliError("--min-order and --max-order do not apply to a --corpus file")
     if args.product_cap is not None and THEOREMS[tid].arity == 1:
         raise CliError(f"--product-cap does not apply to {tid}, which takes one graph")
-    from .verify import DEFAULT_CORPORA
-
     default = DEFAULT_CORPORA[tid]
     base = default.left if isinstance(default, PairCorpusSpec) else default
-    single = CorpusSpec(
-        min_order=args.min_order if args.min_order is not None else base.min_order,
-        max_order=args.max_order if args.max_order is not None else base.max_order,
-        triangle_free=base.triangle_free or args.triangle_free,
-        path=args.corpus,
-        budget=args.budget,
-    )
-    if THEOREMS[tid].arity == 2:
+    orders = {"min_order": args.min_order, "max_order": args.max_order}
+    corpus = replace(base, triangle_free=base.triangle_free or args.triangle_free,
+                     path=args.corpus, budget=args.budget,
+                     **{key: val for key, val in orders.items() if val is not None})
+    if isinstance(default, PairCorpusSpec):
         cap = args.product_cap if args.product_cap is not None else default.product_cap
-        corpus = PairCorpusSpec(single, single, product_cap=cap)
-    else:
-        corpus = single
+        corpus = replace(default, left=corpus, right=corpus, product_cap=cap)
     workers = _setting(args.workers, "DOMLAB_WORKERS", "workers")
-    workers = int(workers) if workers is not None else (os.cpu_count() or 1)
+    try:
+        workers = int(workers) if workers is not None else (os.cpu_count() or 1)
+    except ValueError:
+        raise CliError(f"workers must be an integer, got {workers!r}") from None
     cache_dir = _setting(args.cache_dir, "DOMLAB_CACHE_DIR", "cache_dir")
     report = verify_corpus(tid, corpus, workers=workers, cache_dir=cache_dir, cap=args.cap)
     payload = report.to_dict()
@@ -432,7 +394,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, Graph6Error, ValueError, KeyError, OSError) as exc:
+    except (CliError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

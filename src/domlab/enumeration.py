@@ -23,7 +23,8 @@ triangle-free when G is.  Connectivity is filtered at the end.
 Computed corpora are cached in-process.  A file ``connected-n{N}.g6`` /
 ``connected-n{N}-trianglefree.g6`` in a cache directory is that directory's
 corpus: read once per process, or written atomically from the enumerator's
-when missing, it never enters the enumerator's own cache.
+when missing, it never enters the enumerator's own cache.  Its graphs may be
+in any labeling, but one of an order other than N is an input error.
 """
 
 from __future__ import annotations
@@ -177,7 +178,10 @@ def _load_or_build_connected(
     path = (Path(cache_dir) / f"connected-n{n}{suffix}.g6").resolve()
     if path not in _file_cache:
         if path.exists():
-            _file_cache[path] = load_graph6_file(path)
+            graphs = load_graph6_file(path)
+            if any(g.n != n for g in graphs):
+                raise ValueError(f"cache file {path} holds graphs whose order is not {n}")
+            _file_cache[path] = graphs
         else:  # an unusable directory fails at mkdir, not after the build
             path.parent.mkdir(parents=True, exist_ok=True)
             graphs = connected_graphs(n, triangle_free)

@@ -1,7 +1,6 @@
 import pytest
 
 from domlab.catalog import (
-    VALIDATION_RECORDS,
     complete_graph,
     corona,
     cycle_graph,
@@ -13,6 +12,23 @@ from domlab.catalog import (
 from domlab.domination import domination_profile
 from domlab.graphs import girth, is_connected
 from domlab.isomorphism import are_isomorphic, canonical_key
+
+
+#: Expected structure of each special graph, asserted below so that a
+#: wrong adjacency list fails loudly instead of silently corrupting sweeps.
+#: Fields: order, girth, domination number, well-dominated, well-covered.
+VALIDATION_RECORDS: dict[str, dict[str, object]] = {
+    "P10": {"order": 10, "girth": 5, "gamma": 4, "well_dominated": True,
+            "well_covered": True, "connected": True},
+    "H1": {"order": 7, "min_girth": 4, "gamma": 3, "well_dominated": True,
+           "well_covered": True, "connected": True},
+    "H2": {"order": 7, "min_girth": 4, "gamma": 3, "well_dominated": True,
+           "well_covered": True, "connected": True},
+    "H3": {"order": 7, "min_girth": 4, "gamma": 3, "well_dominated": True,
+           "well_covered": True, "connected": True},
+    "H4": {"order": 7, "min_girth": 4, "gamma": 3, "well_dominated": True,
+           "well_covered": True, "connected": True},
+}
 
 
 def test_named_graph_grammar():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import time
@@ -96,6 +97,28 @@ def test_enumerate_output(capsys, tmp_path):
     target = tmp_path / "c4.g6"
     code, _, _ = run(capsys, "enumerate", "4", "--output", str(target))
     assert code == 0 and len(target.read_text().strip().splitlines()) == 6
+
+
+def test_enumerate_output_creates_directories_atomically(capsys, tmp_path):
+    _, listed, _ = run(capsys, "enumerate", "5")
+    target = tmp_path / "new" / "sub" / "n5.g6"
+    code, out, err = run(capsys, "enumerate", "5", "--output", str(target))
+    assert (code, out, err) == (0, "", "")
+    assert target.read_text() == listed
+    assert list(target.parent.iterdir()) == [target]  # no temporary file left
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "5"],
+    ["verify", "LNE", "--min-order", "5", "--max-order", "5", "--workers", "1"],
+])
+def test_cache_file_of_another_order_fails(capsys, tmp_path, argv):
+    _, order4, _ = run(capsys, "enumerate", "4")
+    (tmp_path / "connected-n5.g6").write_text(order4)
+    code, out, err = run(capsys, *argv, "--cache-dir", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert str(tmp_path / "connected-n5.g6") in err
 
 
 def test_verify_list_and_sweep(capsys):
@@ -199,6 +222,29 @@ def test_verify_bad_workers_or_cap_fail_before_instances(capsys, monkeypatch, ar
     assert code == 2
     assert out == ""
     assert "workers must be at least 1 and cap at least 0" in err
+
+
+@pytest.mark.parametrize("env, conf", [
+    ({"DOMLAB_WORKERS": "abc"}, ""),
+    ({}, "cache_dir=unused\nworkers=abc\n"),
+], ids=["env", "config-file"])
+def test_verify_non_integer_workers_fail_before_instances(capsys, tmp_path, monkeypatch,
+                                                          env, conf):
+    import domlab.verify
+
+    def no_instances(*args):
+        raise AssertionError("instances built before workers were checked")
+
+    monkeypatch.setattr(domlab.verify, "_instances", no_instances)
+    monkeypatch.delenv("DOMLAB_WORKERS", raising=False)
+    for key, val in env.items():
+        monkeypatch.setenv(key, val)
+    (tmp_path / "domlab.conf").write_text(conf)
+    monkeypatch.setenv("DOMLAB_CONFIG", str(tmp_path / "domlab.conf"))
+    code, out, err = run(capsys, "verify", "DK")
+    assert code == 2
+    assert out == ""
+    assert "workers must be an integer, got 'abc'" in err
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -326,3 +372,32 @@ def test_env_config_precedence(capsys, tmp_path, monkeypatch):
     code, _, _ = run(capsys, "enumerate", "4", "--output", str(tmp_path / "y.g6"))
     assert code == 0 and (cache_b / "connected-n4.g6").exists()
     assert not (cache_a / "connected-n4.g6").exists()
+
+
+def test_human_output_is_pinned(capsys, tmp_path):
+    # The nested human layout (lists of rows, indented sub-objects, lists of
+    # lists one item per line) that no JSON test reads: one sha256 over the
+    # exit code and stdout of each invocation, elapsed_ms stripped.
+    mixed = tmp_path / "mixed.g6"
+    save_graph6_file(mixed, [cycle_graph(n) for n in (4, 5, 6)])
+    invocations = [
+        ["invariants", "named:cycle:7"],
+        ["invariants", str(mixed)],
+        ["decide", "well-dominated", str(mixed), "--assert"],
+        ["product", "cartesian", "named:complete:2", "named:path:3"],
+        ["product", "cartesian", "named:complete:1", "named:special:H1"],
+        ["product", "cartesian", "named:complete:2", "named:complete:2", "--emit", "graph6"],
+        ["product", "direct", "named:path:3", "named:cycle:4", "--emit", "dot"],
+        ["product", "disjunctive", "named:complete:2", "named:complete:2", "--json"],
+        ["classify", "named:corona-of:path:3"],
+        ["classify", "named:special:H1"],
+        ["greedy", "named:cycle:7", "--seed", "5"],
+        ["greedy", "named:cycle:7", "--mode", "independent", "--ordering", "6,5,4,3,2,1,0"],
+        ["verify", "--list"],
+        ["verify", "LNE", "--max-order", "4", "--workers", "1"],
+    ]
+    digest = hashlib.sha256()
+    for argv in invocations:
+        code, out, _ = run(capsys, *argv)
+        digest.update(f"{code}\n{re.sub(r'elapsed_ms: [0-9.e-]+', 'elapsed_ms', out)}".encode())
+    assert digest.hexdigest() == "285c859110aa5533ef3b8138d8ba12f6983666e6b9da23e1e234df235ae68530"

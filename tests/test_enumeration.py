@@ -180,6 +180,17 @@ def test_cache_file_never_stands_in_for_the_enumerator(tmp_path, empty_caches):
     assert load_graph6_file(tmp_path / "b" / "connected-n5.g6") == census
 
 
+def test_cache_file_of_another_order_is_rejected(tmp_path, empty_caches):
+    # the order-4 census planted as the order-5 file, and one stray graph
+    # among order-5 ones: both name the file, and neither is kept
+    for planted in (connected_graphs(4), [STAR5, Graph(4, [(0, 1)])]):
+        save_graph6_file(tmp_path / "connected-n5.g6", planted)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="connected-n5.g6"):
+                list(enumerate_connected(5, cache_dir=tmp_path))
+    assert enumeration._file_cache == {}
+
+
 def test_order_cached_in_memory_gets_its_file(tmp_path, empty_caches):
     graphs = [STAR5]
     enumeration._connected_cache[5, False] = graphs
