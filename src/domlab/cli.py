@@ -10,7 +10,7 @@ Exit codes: 0 success / theorem holds; 1 counterexample found or a failed
 
 Configuration precedence: command-line flags, then ``DOMLAB_*`` environment
 variables, then the key=value config file at ``~/.domlab.conf`` (override
-the path with ``DOMLAB_CONFIG``).
+the path with ``DOMLAB_CONFIG``, which must name a file).
 """
 
 from __future__ import annotations
@@ -58,7 +58,10 @@ def _setting(flag_value, env_name: str, config_key: str):
         return flag_value
     if env_name in os.environ:
         return os.environ[env_name]
-    path = Path(os.environ.get(CONFIG_ENV, DEFAULT_CONFIG)).expanduser()
+    named = os.environ.get(CONFIG_ENV)
+    path = Path(named or DEFAULT_CONFIG).expanduser()
+    if named and not path.is_file():
+        raise CliError(f"{CONFIG_ENV} names {named!r}, which is not a file")
     value = None
     if path.is_file():  # the key's last key=value line wins; a #comment never matches
         for line in path.read_text().splitlines():
@@ -93,19 +96,24 @@ def _emit(obj, as_json: bool) -> None:
         _print_human(obj)
 
 
+def _nested(val) -> bool:
+    """A value printed over several lines: a non-empty dict, or a list of lists or dicts."""
+    return (isinstance(val, dict) and bool(val)
+            or isinstance(val, list) and any(isinstance(x, (dict, list)) for x in val))
+
+
 def _print_human(obj: dict | list, indent: int = 0) -> None:
     pad = "  " * indent
     if isinstance(obj, dict):
         for key, val in obj.items():
-            if (isinstance(val, dict) and val
-                    or isinstance(val, list) and any(isinstance(x, (dict, list)) for x in val)):
+            if _nested(val):
                 print(f"{pad}{key}:")
                 _print_human(val, indent + 1)
             else:
                 print(f"{pad}{key}: {_flat(val)}")
     else:
         for item in obj:
-            if isinstance(item, (dict, list)):
+            if _nested(item):
                 _print_human(item, indent)
                 print()
             else:
@@ -140,6 +148,8 @@ def _graph_summary(g: Graph) -> dict:
 def _per_graph(args, row) -> list[dict]:
     """Emit ``row(g)`` for each graph of ``args.graph`` (a bare row for one)."""
     rows = [row(g) for g in load_graphs(args.graph)]
+    if not rows:
+        raise CliError(f"no graphs in {args.graph}")
     _emit(rows if len(rows) > 1 else rows[0], args.json)
     return rows
 

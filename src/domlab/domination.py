@@ -40,9 +40,11 @@ one when there is one, since a maximal independent set is a minimal
 dominating set (so well-dominated graphs are well-covered: Finbow,
 Hartnell and Nowakowski, Ars Combin. 25A, 1988); otherwise it scans the
 minimal-dominating stream against the size of its first set, without gamma.
-Only ``minimum_dominating_set`` and ``_mis_extrema`` are cached: the
-theorems ask for gamma, i and alpha of one graph many times, and without
-these two caches the 26 default sweeps run about 18% slower.
+Only the two searches behind gamma, i and alpha are kept, as facts of the
+graph (:meth:`Graph.fact`): ``domination_number`` reads the kept
+``minimum_dominating_set``, and ``independence_number`` and
+``independent_domination_number`` the kept ``_mis_extrema``.  The theorems
+ask for these numbers of one graph many times.
 
 The vertex-set predicates (minimal domination, maximal independence,
 private neighbors, open irredundance, 2-packing) and the greedy procedure
@@ -61,7 +63,6 @@ well-dominated graphs), not its running time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .graphs import Graph, closed_neighborhood, iter_bits, set_of
@@ -231,7 +232,6 @@ def _greedy_cover(g: Graph) -> int:
     return s
 
 
-@lru_cache(maxsize=None)
 def minimum_dominating_set(g: Graph) -> int:
     """One minimum dominating set: the last of a stream whose size bound
     starts just below the greedy cover and drops below each set found."""
@@ -243,7 +243,7 @@ def minimum_dominating_set(g: Graph) -> int:
 
 
 def domination_number(g: Graph) -> int:
-    return minimum_dominating_set(g).bit_count()
+    return g.fact(minimum_dominating_set).bit_count()
 
 
 def minimum_dominating_sets(g: Graph) -> list[int]:
@@ -265,18 +265,17 @@ def _size_extrema(sets: Iterable[int]) -> tuple[int, int, int]:
     return lo, hi, widest
 
 
-@lru_cache(maxsize=None)
 def _mis_extrema(g: Graph) -> tuple[int, int, int]:
     """(i, alpha, a maximum independent set)."""
     return _size_extrema(_iter_maximal_independent(g))
 
 
 def independence_number(g: Graph) -> int:
-    return _mis_extrema(g)[1]
+    return g.fact(_mis_extrema)[1]
 
 
 def independent_domination_number(g: Graph) -> int:
-    return _mis_extrema(g)[0]
+    return g.fact(_mis_extrema)[0]
 
 
 def upper_domination_number(g: Graph) -> int:
@@ -480,10 +479,10 @@ class DominationProfile:
 
 def domination_profile(g: Graph) -> DominationProfile:
     """Exact values of gamma, Gamma, i, alpha, gamma_t, Gamma_t and verdicts."""
-    witness_min = minimum_dominating_set(g)
+    witness_min = g.fact(minimum_dominating_set)
     gamma = witness_min.bit_count()
     upper = upper_domination_number(g)
-    ind_dom, alpha, witness_max = _mis_extrema(g)
+    ind_dom, alpha, witness_max = g.fact(_mis_extrema)
     if has_isolated_vertex(g):
         gamma_t = upper_t = None
     else:

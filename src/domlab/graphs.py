@@ -43,11 +43,13 @@ class Graph:
     """A finite simple undirected graph on vertices ``0..n-1``.
 
     Instances are immutable after construction, so any number of concurrent
-    readers is safe; they compare and hash by value, so they can key sets and
-    dicts.  Derived graphs such as :meth:`relabeled` are new instances.
+    readers is safe; they compare and hash by value (``n`` and ``adj``), so
+    they can key sets and dicts.  Derived graphs such as :meth:`relabeled`
+    are new instances.  Each instance keeps its own :meth:`fact` memo, its
+    one mutable part, which equality and hashing ignore.
     """
 
-    __slots__ = ("n", "adj")
+    __slots__ = ("n", "adj", "_facts")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()) -> None:
         if not 1 <= n <= MAX_ORDER:
@@ -62,6 +64,7 @@ class Graph:
             adj[v] |= 1 << u
         self.n = n
         self.adj = tuple(adj)
+        self._facts = None
 
     @classmethod
     def from_adjacency(cls, adj: Sequence[int]) -> "Graph":
@@ -86,7 +89,18 @@ class Graph:
         g = object.__new__(cls)
         g.n = n
         g.adj = adj
+        g._facts = None
         return g
+
+    def fact(self, fn):
+        """``fn(self)``, computed at the first call with this ``fn`` and kept
+        while this graph lives; a call that raises keeps nothing."""
+        facts = self._facts
+        if facts is None:
+            facts = self._facts = {}
+        if fn not in facts:
+            facts[fn] = fn(self)
+        return facts[fn]
 
     # -- basic accessors ------------------------------------------------
 

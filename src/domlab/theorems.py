@@ -21,18 +21,18 @@ accepts a greedy dominating set of the direct product within the bound,
 since gamma is at most the size of any dominating set, and runs the exact
 search only when the greedy set is too large.
 
-Pair hypotheses and conclusions ask for a fact about one factor as
-``_fact(fn, g)``, with ``fn`` looked up by its module-level name at each
-call, so a patched name sees the call; ``_both(hypothesis)`` asks it of both
-factors.  While a sweep holds :func:`factor_memo` open, each fact is computed
-once per factor and keyed by the factor's identity (the sweep keeps its
-factors alive, and an id hashes for free where a graph does not).  Products
-never enter the memo; outside a sweep every fact is computed.
+A fact that costs something or is asked again is kept on its graph as
+``g.fact(fn)`` (:meth:`Graph.fact`), with ``fn`` looked up by its module
+name at each call, so a patched name keys its own entry: connectivity in
+every hypothesis; for factors girth, the two verdicts, isolatable vertices,
+gamma_t and the two set lists; and the direct product with K3 being
+well-dominated, which L2P and LK3 both read.  The cheap shape predicates
+(K2, K3, C4, coronas, completeness, universal and isolated vertices) are
+called afresh, so a patch on them is always seen.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -133,38 +133,7 @@ def _c4_or_corona(g: Graph) -> bool:
     return are_isomorphic(g, C4) or is_corona_of_connected(g)
 
 
-# -- factor facts ------------------------------------------------------------------
-
-_facts: dict | None = None  # (function, id(factor)) -> fn(factor) in factor_memo
-
-
-@contextmanager
-def factor_memo():
-    """Keep the factor facts :func:`_fact` computes until the block ends."""
-    global _facts
-    _facts = {}
-    try:
-        yield
-    finally:
-        _facts = None
-
-
-def _fact(fn: Callable, g: Graph):
-    """``fn(g)`` for a factor ``g``, once per factor while the memo is open."""
-    if _facts is None:
-        return fn(g)
-    key = (fn, id(g))
-    if key not in _facts:
-        _facts[key] = fn(g)
-    return _facts[key]
-
-
-def _is_k2(g: Graph) -> bool:
-    return are_isomorphic(g, K2)
-
-
-def _is_k3(g: Graph) -> bool:
-    return are_isomorphic(g, K3)
+# -- kept facts ------------------------------------------------------------------
 
 
 def _mis_list(g: Graph) -> list[int]:
@@ -173,6 +142,10 @@ def _mis_list(g: Graph) -> list[int]:
 
 def _total_list(g: Graph) -> list[int]:
     return list(_iter_minimal_total_dominating(g))
+
+
+def _k3_well_dominated(g: Graph) -> bool:
+    return is_well_dominated(direct(g, K3).graph)
 
 
 # -- single-graph conclusions -------------------------------------------------
@@ -229,8 +202,7 @@ def _lk2(g: Graph) -> Verdict:
 
 
 def _l2p(g: Graph) -> Verdict:
-    p = direct(g, K3).graph
-    if not is_well_dominated(p):
+    if not g.fact(_k3_well_dominated):
         return HOLDS
     for s in _iter_maximal_independent(g):
         if not is_two_packing(g, s):
@@ -240,8 +212,7 @@ def _l2p(g: Graph) -> Verdict:
 
 
 def _lk3(g: Graph) -> Verdict:
-    p = direct(g, K3).graph
-    if is_well_dominated(p) and not are_isomorphic(g, K3):
+    if g.fact(_k3_well_dominated) and not are_isomorphic(g, K3):
         return _fail("direct product with K3 well-dominated but base is not K3")
     return HOLDS
 
@@ -290,7 +261,7 @@ def _g5wd(g: Graph) -> Verdict:
 
 def _t1(pair) -> Verdict:
     g, h = pair
-    if _fact(is_well_dominated, g) or _fact(is_well_dominated, h):
+    if g.fact(is_well_dominated) or h.fact(is_well_dominated):
         return HOLDS
     if is_well_dominated(cartesian(g, h).graph):
         wg = well_dominated_certificate(g)
@@ -302,15 +273,15 @@ def _t1(pair) -> Verdict:
 
 def _t2(pair) -> Verdict:
     g, h = pair
-    return _wd_iff(cartesian(g, h).graph, _fact(_is_k2, g) and _fact(_is_k2, h),
+    return _wd_iff(cartesian(g, h).graph, are_isomorphic(g, K2) and are_isomorphic(h, K2),
                    "triangle-free product well-dominated with a factor other than K2",
                    "K2 box K2 not recognized as well-dominated")
 
 
 def _t3_rhs(g: Graph, h: Graph) -> bool:
-    return (_fact(_is_k3, g) and _fact(_is_k3, h)
-            or _fact(_is_k2, g) and _fact(_c4_or_corona, h)
-            or _fact(_is_k2, h) and _fact(_c4_or_corona, g))
+    return (are_isomorphic(g, K3) and are_isomorphic(h, K3)
+            or are_isomorphic(g, K2) and _c4_or_corona(h)
+            or are_isomorphic(h, K2) and _c4_or_corona(g))
 
 
 def _t3(pair) -> Verdict:
@@ -321,8 +292,8 @@ def _t3(pair) -> Verdict:
 
 
 def _t4_rhs(g: Graph, h: Graph) -> bool:
-    return any(_fact(is_complete, k) and _fact(is_well_dominated, m)
-               and _fact(domination_number, m) <= 2 for k, m in ((g, h), (h, g)))
+    return any(is_complete(k) and m.fact(is_well_dominated)
+               and domination_number(m) <= 2 for k, m in ((g, h), (h, g)))
 
 
 def _t4(pair) -> Verdict:
@@ -336,7 +307,7 @@ def _t4(pair) -> Verdict:
 def _ub3(pair) -> Verdict:
     g, h = pair
     p = direct(g, h).graph
-    bound = 3 * _fact(domination_number, g) * _fact(domination_number, h)
+    bound = 3 * domination_number(g) * domination_number(h)
     if _greedy_cover(p).bit_count() <= bound:
         return HOLDS
     got = domination_number(p)
@@ -348,7 +319,7 @@ def _ub3(pair) -> Verdict:
 
 def _wcfactor(pair) -> Verdict:
     g, h = pair
-    if _fact(is_well_covered, g) or _fact(is_well_covered, h):
+    if g.fact(is_well_covered) or h.fact(is_well_covered):
         return HOLDS
     if is_well_covered(cartesian(g, h).graph):
         return _fail("product well-covered but neither factor is")
@@ -357,7 +328,7 @@ def _wcfactor(pair) -> Verdict:
 
 def _g4cart(pair) -> Verdict:
     g, h = pair
-    if _fact(_is_k2, g) or _fact(_is_k2, h):
+    if are_isomorphic(g, K2) or are_isomorphic(h, K2):
         return HOLDS
     if is_well_covered(cartesian(g, h).graph):
         return _fail("triangle-free product well-covered with no K2 factor")
@@ -366,7 +337,7 @@ def _g4cart(pair) -> Verdict:
 
 def _dk(pair) -> Verdict:
     g, h = pair
-    if _fact(is_complete, h):
+    if is_complete(h):
         return HOLDS
     if is_well_covered(direct(g, h).graph):
         return _fail("well-covered direct product whose isolatable-free factor "
@@ -376,7 +347,7 @@ def _dk(pair) -> Verdict:
 
 def _l3g(pair) -> Verdict:
     g, h = pair
-    gammas = [_fact(domination_number, g), _fact(domination_number, h)]
+    gammas = [domination_number(g), domination_number(h)]
     if 3 * gammas[0] >= g.n and 3 * gammas[1] >= h.n:
         return HOLDS
     if is_well_dominated(direct(g, h).graph):
@@ -388,15 +359,15 @@ def _l3g(pair) -> Verdict:
 
 def _tv(pair) -> Verdict:
     g, h = pair
-    covered = _fact(is_well_covered, g) and _fact(is_well_covered, h)
-    if covered and _fact(independence_number, g) * h.n == _fact(independence_number, h) * g.n:
+    covered = g.fact(is_well_covered) and h.fact(is_well_covered)
+    if covered and independence_number(g) * h.n == independence_number(h) * g.n:
         return HOLDS
     if not is_well_covered(direct(g, h).graph):
         return HOLDS
     if not covered:
         return _fail("well-covered direct product with a factor that is not well-covered")
     return Verdict("counterexample", "alpha(G)|V(H)| != alpha(H)|V(G)|",
-                   {"alphas": [_fact(independence_number, g), _fact(independence_number, h)],
+                   {"alphas": [independence_number(g), independence_number(h)],
                     "orders": [g.n, h.n]})
 
 
@@ -404,8 +375,8 @@ def _dind(pair) -> Verdict:
     g, h = pair
     p = disjunctive(g, h).graph
     q = h.n
-    j_sets = _fact(_mis_list, h)
-    for i_set in _fact(_mis_list, g):
+    j_sets = h.fact(_mis_list)
+    for i_set in g.fact(_mis_list):
         block = spread(i_set, q)
         for j_set in j_sets:
             prod_set = block * j_set
@@ -423,8 +394,8 @@ def _dtot(pair) -> Verdict:
     # copy a minimal total dominating set of the other, in both orientations.
     q = h.n
     for fixed, other, fixed_step, set_step in ((g, h, q, 1), (h, g, 1, q)):
-        uni = _fact(universal_vertices, fixed)
-        for t_set in _fact(_total_list, other):
+        uni = universal_vertices(fixed)
+        for t_set in other.fact(_total_list):
             block = spread(t_set, set_step)
             for v in range(fixed.n):
                 if uni >> v & 1:
@@ -449,7 +420,7 @@ def _dne(pair) -> Verdict:
 def _dkn(pair) -> Verdict:
     g, h = pair
     return _wd_iff(disjunctive(g, h).graph,
-                   _fact(is_well_dominated, h) and _fact(domination_number, h) <= 2,
+                   h.fact(is_well_dominated) and domination_number(h) <= 2,
                    "disjunctive product with a complete factor well-dominated "
                    "while the mate is not well-dominated with gamma <= 2",
                    "well-dominated mate with gamma <= 2 but the disjunctive "
@@ -458,8 +429,8 @@ def _dkn(pair) -> Verdict:
 
 def _e1(pair) -> Verdict:
     g, h = pair
-    a = _fact(independence_number, g) * _fact(independence_number, h)
-    gamma_t = [_fact(total_domination_number, g), _fact(total_domination_number, h)]
+    a = independence_number(g) * independence_number(h)
+    gamma_t = [g.fact(total_domination_number), h.fact(total_domination_number)]
     if a == gamma_t[0] == gamma_t[1]:
         return HOLDS
     return Verdict("counterexample",
@@ -475,11 +446,11 @@ def _hyp_true(_instance) -> bool:
 
 
 def _hyp_connected(g: Graph) -> bool:
-    return is_connected(g)
+    return g.fact(is_connected)
 
 
 def _hyp_nontrivial_connected(g: Graph) -> bool:
-    return g.n >= 2 and is_connected(g)
+    return g.n >= 2 and g.fact(is_connected)
 
 
 def _hyp_no_isolated(g: Graph) -> bool:
@@ -487,17 +458,17 @@ def _hyp_no_isolated(g: Graph) -> bool:
 
 
 def _hyp_tf_connected(g: Graph) -> bool:
-    return is_connected(g) and girth(g) >= 4
+    return g.fact(is_connected) and girth(g) >= 4
 
 
 def _hyp_g5wd(g: Graph) -> bool:
-    return is_connected(g) and girth(g) >= 5 and is_well_dominated(g)
+    return g.fact(is_connected) and girth(g) >= 5 and is_well_dominated(g)
 
 
 def _both(hypothesis: Callable) -> Callable:
-    """The pair hypothesis ``hypothesis`` of both factors, one memo entry each."""
+    """The pair hypothesis ``hypothesis`` of both factors."""
     def both(pair) -> bool:
-        return _fact(hypothesis, pair[0]) and _fact(hypothesis, pair[1])
+        return hypothesis(pair[0]) and hypothesis(pair[1])
     return both
 
 
@@ -505,35 +476,35 @@ _hyp_pair_nontrivial_connected = _both(_hyp_nontrivial_connected)
 
 
 def _hyp_pair_girth4(pair) -> bool:
-    return all(x.n >= 2 and _fact(is_connected, x) and _fact(girth, x) >= 4 for x in pair)
+    return all(_hyp_nontrivial_connected(x) and x.fact(girth) >= 4 for x in pair)
 
 
 def _hyp_t3(pair) -> bool:
     g, h = pair
     return _hyp_pair_nontrivial_connected(pair) and (
-        not _fact(domination.has_isolatable_vertex, g)
-        or not _fact(domination.has_isolatable_vertex, h))
+        not g.fact(domination.has_isolatable_vertex)
+        or not h.fact(domination.has_isolatable_vertex))
 
 
 def _hyp_dk(pair) -> bool:
     return (_hyp_pair_nontrivial_connected(pair)
-            and not _fact(domination.has_isolatable_vertex, pair[1]))
+            and not pair[1].fact(domination.has_isolatable_vertex))
 
 
 def _hyp_dne(pair) -> bool:
     g, h = pair
-    return (_fact(is_connected, g) and not _fact(has_isolated_vertex, h)
-            and not _fact(is_complete, g) and not _fact(is_complete, h))
+    return (g.fact(is_connected) and not has_isolated_vertex(h)
+            and not is_complete(g) and not is_complete(h))
 
 
 def _hyp_dkn(pair) -> bool:
-    return pair[0].n >= 2 and _fact(is_complete, pair[0])
+    return pair[0].n >= 2 and is_complete(pair[0])
 
 
 def _hyp_e1(pair) -> bool:
     g, h = pair
     return (_hyp_pair_nontrivial_connected(pair)
-            and not _fact(is_complete, g) and not _fact(is_complete, h)
+            and not is_complete(g) and not is_complete(h)
             and is_well_dominated(disjunctive(g, h).graph))
 
 

@@ -6,13 +6,13 @@ ordered pairs of two corpora under a product-order cap.  Instances stay the
 corpus's ``Graph`` objects (or ``(g, h)`` tuples of them) all the way to the
 theorem check; graph6 appears only in counterexample certificates.  A sweep can
 fan out over a fork pool of at most one process per task, whose workers inherit
-the instances from a module slot and get only indices, so each factor keeps the
-identity that the theorems' factor memo keys on; without ``fork`` it runs
-in-process.  The report aggregates the tasks' :class:`Verdict` objects in
-instance order, so it does not depend on scheduling.  For a swap-invariant
-theorem a pair (g, h) and its swap (h, g) are one task and share its verdict;
-a counterexample's swap is checked again after the map, so that its
-certificate names its own product.  A certificate carries the instance in
+the instances from a module slot and get only indices, so each factor brings
+the facts it has kept (:meth:`Graph.fact`), and a worker's new facts stay in
+that worker; without ``fork`` it runs in-process.  The report aggregates the
+tasks' :class:`Verdict` objects in instance order, so it does not depend on
+scheduling.  For a swap-invariant theorem a pair (g, h) and its swap (h, g)
+are one task and share its verdict; a counterexample's swap is checked again
+after the map, so that its certificate names its own product.  A certificate carries the instance in
 graph6, the violated clause and witness sets; the report keeps at most ``cap``
 of them but always the full count, and for a tagged theorem ``members`` and
 the verdicts' sorted ``member_tags`` in ``details``.
@@ -32,7 +32,7 @@ from .enumeration import DEFAULT_BUDGET, check_orders, enumerate_connected
 from .graph6 import load_graph6_file, parse_graph6, to_graph6  # noqa: F401
 from .graphs import MAX_ORDER, Graph, is_triangle_free
 from .classify import classify_small_triangle_free  # noqa: F401
-from .theorems import THEOREMS, Verdict, check_instance, factor_memo
+from .theorems import THEOREMS, Verdict, check_instance
 
 # parse_graph6 and classify_small_triangle_free are not called here; they
 # stay importable because perfbench/tracer.py patches them on this module.
@@ -208,20 +208,19 @@ def verify_corpus(
     workers = min(workers, len(tasks))
     _sweep = tid, instances
     try:
-        with factor_memo():
-            if workers > 1 and "fork" in get_all_start_methods():
-                chunk = max(1, len(tasks) // (workers * 8))
-                with get_context("fork").Pool(workers) as pool:
-                    verdicts = pool.map(_check_task, tasks, chunksize=chunk)
-            else:
-                verdicts = [_check_task(i) for i in tasks]
-            if swaps is not None:  # a counterexample's swap gets its own certificate
-                shared, verdicts = verdicts, [None] * len(instances)
-                for i, verdict in zip(tasks, shared):
-                    j = swaps[i]
-                    verdicts[i] = verdicts[j] = verdict
-                    if j != i and verdict.status == "counterexample":
-                        verdicts[j] = _check_task(j)
+        if workers > 1 and "fork" in get_all_start_methods():
+            chunk = max(1, len(tasks) // (workers * 8))
+            with get_context("fork").Pool(workers) as pool:
+                verdicts = pool.map(_check_task, tasks, chunksize=chunk)
+        else:
+            verdicts = [_check_task(i) for i in tasks]
+        if swaps is not None:  # a counterexample's swap gets its own certificate
+            shared, verdicts = verdicts, [None] * len(instances)
+            for i, verdict in zip(tasks, shared):
+                j = swaps[i]
+                verdicts[i] = verdicts[j] = verdict
+                if j != i and verdict.status == "counterexample":
+                    verdicts[j] = _check_task(j)
     finally:
         _sweep = None
 

@@ -360,6 +360,32 @@ def test_error_exit_codes(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["invariants"], ["decide", "connected"], ["classify"], ["greedy"],
+], ids=lambda argv: argv[0])
+def test_empty_g6_file_is_an_input_error(capsys, tmp_path, argv):
+    empty = tmp_path / "EMPTY.g6"
+    empty.write_text("")
+    code, out, err = run(capsys, *argv, str(empty))
+    assert (code, out) == (2, "")
+    assert err == f"error: no graphs in {empty}\n"
+
+
+@pytest.mark.parametrize("target", ["nope.conf", "."], ids=["missing", "directory"])
+def test_named_config_that_is_not_a_file_fails(capsys, tmp_path, monkeypatch, target):
+    monkeypatch.delenv("DOMLAB_WORKERS", raising=False)
+    monkeypatch.delenv("DOMLAB_CACHE_DIR", raising=False)
+    monkeypatch.setenv("DOMLAB_CONFIG", str(tmp_path / target))
+    code, out, err = run(capsys, "verify", "LNE", "--max-order", "3")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: DOMLAB_CONFIG names") and err.count("\n") == 1
+    # the default file may be missing
+    monkeypatch.delenv("DOMLAB_CONFIG")
+    monkeypatch.setenv("HOME", str(tmp_path))
+    code, out, err = run(capsys, "verify", "LNE", "--max-order", "3")
+    assert (code, err) == (0, "") and "scanned: 4" in out
+
+
 def test_env_config_precedence(capsys, tmp_path, monkeypatch):
     cache_a = tmp_path / "a"
     cache_b = tmp_path / "b"
@@ -376,8 +402,9 @@ def test_env_config_precedence(capsys, tmp_path, monkeypatch):
 
 def test_human_output_is_pinned(capsys, tmp_path):
     # The nested human layout (lists of rows, indented sub-objects, lists of
-    # lists one item per line) that no JSON test reads: one sha256 over the
-    # exit code and stdout of each invocation, elapsed_ms stripped.
+    # scalar lists one inner list per line) that no JSON test reads: one
+    # sha256 over the exit code and stdout of each invocation, elapsed_ms
+    # stripped.
     mixed = tmp_path / "mixed.g6"
     save_graph6_file(mixed, [cycle_graph(n) for n in (4, 5, 6)])
     invocations = [
@@ -400,4 +427,4 @@ def test_human_output_is_pinned(capsys, tmp_path):
     for argv in invocations:
         code, out, _ = run(capsys, *argv)
         digest.update(f"{code}\n{re.sub(r'elapsed_ms: [0-9.e-]+', 'elapsed_ms', out)}".encode())
-    assert digest.hexdigest() == "285c859110aa5533ef3b8138d8ba12f6983666e6b9da23e1e234df235ae68530"
+    assert digest.hexdigest() == "970a4ff560c8bffa4726ed12b606759e817fb89084e49f95dcceef7b66de3391"

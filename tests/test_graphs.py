@@ -107,6 +107,51 @@ def test_connectivity():
     assert all(are_isomorphic(p.induced(c)[0], cycle_graph(4)) for c in components(p))
 
 
+def _counting(fn):
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return fn(g)
+    return counted, calls
+
+
+def test_fact_is_computed_once_per_graph_object():
+    count_edges, calls = _counting(lambda g: g.edge_count)
+    g = Graph(4, [(0, 1), (1, 2), (2, 3)])
+    assert g.fact(count_edges) == g.fact(count_edges) == 3
+    assert calls == [g]
+    # an equal graph built apart and a relabeled one keep their own facts
+    twin = Graph._raw(g.n, g.adj)
+    moved = g.relabeled([3, 2, 1, 0])
+    assert twin == g and moved == g
+    assert twin.fact(count_edges) == moved.fact(count_edges) == 3
+    assert [id(x) for x in calls] == [id(g), id(twin), id(moved)]
+    # another function is another fact
+    assert g.fact(is_connected) and len(calls) == 3
+
+
+def test_fact_that_raises_keeps_nothing():
+    def fails(g):
+        raise RuntimeError("no fact")
+
+    failing, calls = _counting(fails)
+    g = path_graph(3)
+    for _ in range(2):
+        with pytest.raises(RuntimeError, match="no fact"):
+            g.fact(failing)
+    assert len(calls) == 2
+
+
+def test_facts_do_not_enter_equality_or_hashing():
+    g, h = cycle_graph(5), cycle_graph(5)
+    before = hash(g)
+    g.fact(girth)
+    g.fact(is_connected)
+    assert g == h and hash(g) == hash(h) == before and repr(g) == repr(h)
+    assert len({g, h}) == 1
+
+
 def test_isomorphism_examples():
     assert are_isomorphic(cycle_graph(4), cartesian(complete_graph(2), complete_graph(2)).graph)
     assert not are_isomorphic(path_graph(4), cycle_graph(4))

@@ -262,8 +262,8 @@ def test_forced_wrong_shape_predicates_digest(monkeypatch):
 def swap_mismatches(max_order: int, cap: int) -> dict[str, list]:
     """For each pair theorem, the ordered pairs (g, h) of graphs of order at
     most ``max_order``, disconnected ones included, with product order at most
-    ``cap``, whose status differs from that of (h, g); checked outside any
-    factor memo."""
+    ``cap``, whose status differs from that of (h, g); each pair is checked
+    on its own by ``check_instance``, outside any sweep."""
     graphs = [g for n in range(1, max_order + 1) for g in all_graphs(n)]
     pairs = [(a, b) for a, g in enumerate(graphs) for b, h in enumerate(graphs)
              if g.n * h.n <= cap]

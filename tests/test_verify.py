@@ -228,40 +228,55 @@ def test_swap_reuse_changes_no_report(monkeypatch, forced_wrong):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_sweep_that_raises_partway_leaves_the_memo_empty(monkeypatch, workers):
+def test_sweep_that_raises_partway_clears_the_running_sweep(monkeypatch, workers):
     entry = THEOREMS["T4"]
-    memo_sizes = []
+    calls = []
 
     def conclusion(pair):
-        memo_sizes.append(len(theorems._facts))
-        if len(memo_sizes) == 5:
-            raise RuntimeError(f"conclusion failed with {memo_sizes[-1]} facts")
+        calls.append(pair)
+        if len(calls) == 5:
+            raise RuntimeError("conclusion failed")
         return entry.conclusion(pair)
 
     monkeypatch.setitem(THEOREMS, "T4", dataclasses.replace(entry, conclusion=conclusion))
     with pytest.raises(RuntimeError, match="conclusion failed"):
         verify_corpus("T4", workers=workers)
-    if workers == 1:
-        assert memo_sizes[-1] > 0
-    assert theorems._facts is None and verify._sweep is None
+    assert verify._sweep is None
 
 
 @pytest.mark.parametrize("tid", PAIR_TIDS)
 def test_check_instance_outside_a_sweep_gives_the_sweep_verdicts(tid):
     corpus = _small_pairs(tid)
     instances = verify._instances(tid, corpus, None)
-    with theorems.factor_memo():
-        inside = [check_instance(tid, x) for x in instances]
-        assert theorems._facts
-    assert theorems._facts is None
-    # fresh copies of the factors, never seen by a memo
-    outside = [check_instance(tid, (Graph._raw(g.n, g.adj), Graph._raw(h.n, h.adj)))
-               for g, h in instances]
-    assert outside == inside
     report = verify_corpus(tid, corpus)
-    statuses = [v.status for v in outside]
+    # fresh copies of the factors, which have kept no facts
+    fresh = [check_instance(tid, (Graph._raw(g.n, g.adj), Graph._raw(h.n, h.adj)))
+             for g, h in instances]
+    assert fresh == [check_instance(tid, x) for x in instances]
+    statuses = [v.status for v in fresh]
     assert [report.holds, report.hypothesis_not_met, report.counterexample_count] == [
         statuses.count(s) for s in ("holds", "hypothesis-not-met", "counterexample")]
+
+
+def test_l2p_and_lk3_build_each_k3_product_once(monkeypatch, tmp_path):
+    # Factors read from fresh cache files, so no earlier test has kept facts
+    # on them; both sweeps read the same graph objects.
+    from domlab.enumeration import connected_graphs
+
+    for n in range(2, 7):
+        save_graph6_file(tmp_path / f"connected-n{n}.g6", connected_graphs(n))
+    bases = []
+    direct = theorems.direct
+
+    def build(g, h):
+        bases.append(g)
+        return direct(g, h)
+
+    monkeypatch.setattr(theorems, "direct", build)
+    corpus = CorpusSpec(2, 6)
+    for tid in ("L2P", "LK3"):
+        assert verify_corpus(tid, corpus, cache_dir=tmp_path).counterexample_count == 0
+    assert len(bases) == len({id(g) for g in bases}) == len(corpus.graphs(tmp_path))
 
 
 def test_file_corpus(tmp_path):
