@@ -76,25 +76,31 @@ def special_graph(name: str) -> Graph:
 def named_graph(spec: str) -> Graph:
     """Build a graph from a ``family:param`` string.
 
-    Grammar: ``complete:N``, ``path:N``, ``cycle:N``, ``special:NAME`` and
-    the recursive ``corona-of:<spec>`` (e.g. ``corona-of:path:3``).
+    Grammar: ``complete:N``, ``path:N``, ``cycle:N``, ``special:NAME``, each
+    after any number of ``corona-of:`` prefixes (e.g. ``corona-of:path:3``).
     """
     family, _, rest = spec.partition(":")
-    family = family.strip().lower()
-    if family == "corona-of":
+    coronas = 0
+    while family.strip().lower() == "corona-of":
         if not rest:
             raise ValueError("corona-of needs a base graph spec")
-        return corona(named_graph(rest))
-    if family == "special":
-        return special_graph(rest.strip())
+        coronas += 1
+        family, _, rest = rest.partition(":")
+    family = family.strip().lower()
     builders = {"complete": complete_graph, "path": path_graph, "cycle": cycle_graph}
-    if family not in builders:
+    if family == "special":
+        g = special_graph(rest.strip())
+    elif family not in builders:
         raise ValueError(f"unknown graph family {family!r}")
-    try:
-        n = int(rest)
-    except ValueError:
-        raise ValueError(f"parameter for {family} must be an integer, got {rest!r}") from None
-    return builders[family](n)
+    else:
+        try:
+            n = int(rest)
+        except ValueError:
+            raise ValueError(f"parameter for {family} must be an integer, got {rest!r}") from None
+        g = builders[family](n)
+    for _ in range(coronas):
+        g = corona(g)
+    return g
 
 
 #: The eleven connected, triangle-free, well-dominated graphs with domination

@@ -24,7 +24,8 @@ Computed corpora are cached in-process.  A file ``connected-n{N}.g6`` /
 ``connected-n{N}-trianglefree.g6`` in a cache directory is that directory's
 corpus: read once per process, or written atomically from the enumerator's
 when missing, it never enters the enumerator's own cache.  Its graphs may be
-in any labeling, but one of an order other than N is an input error.
+in any labeling, but an empty file or one of an order other than N is an
+input error.
 """
 
 from __future__ import annotations
@@ -179,6 +180,8 @@ def _load_or_build_connected(
     if path not in _file_cache:
         if path.exists():
             graphs = load_graph6_file(path)
+            if not graphs:  # every order has a connected graph
+                raise ValueError(f"cache file {path} holds no graphs")
             if any(g.n != n for g in graphs):
                 raise ValueError(f"cache file {path} holds graphs whose order is not {n}")
             _file_cache[path] = graphs

@@ -67,23 +67,6 @@ class Graph:
         self._facts = None
 
     @classmethod
-    def from_adjacency(cls, adj: Sequence[int]) -> "Graph":
-        """Build a graph from per-vertex neighbor bitmasks, validating them."""
-        n = len(adj)
-        if not 1 <= n <= MAX_ORDER:
-            raise ValueError(f"order must be between 1 and {MAX_ORDER}, got {n}")
-        full = (1 << n) - 1
-        for v, row in enumerate(adj):
-            if row & ~full:
-                raise ValueError(f"adjacency of vertex {v} mentions vertices >= {n}")
-            if row >> v & 1:
-                raise ValueError(f"loop at vertex {v} is not allowed")
-            for u in iter_bits(row):
-                if not adj[u] >> v & 1:
-                    raise ValueError(f"adjacency is not symmetric at ({v}, {u})")
-        return cls._raw(n, tuple(adj))
-
-    @classmethod
     def _raw(cls, n: int, adj: tuple[int, ...]) -> "Graph":
         # Internal fast path: trusts that adj is symmetric and loop-free.
         g = object.__new__(cls)

@@ -8,10 +8,13 @@ A ``tagged`` entry's conclusion may tag its verdict (TF11 names the catalog
 member), and a sweep's report lists the tags.  A pair entry is
 ``swap_invariant`` when its hypothesis and conclusion are symmetric in the
 factors: (g, h) and (h, g) then get the same status, each product being
-commutative up to isomorphism.  Biconditional statements go through
-:func:`_iff`, which reports which direction failed; the product biconditionals
-(T2, T3, T4, LK2, DKN) all take one form, :func:`_wd_iff`, whose verdict and
-witness come from one well-dominated certificate.
+commutative up to isomorphism.  Each entry carries its default sweep:
+``orders`` (of each factor, for a pair entry) and ``triangle_free``, set only
+where they differ from the defaults of :func:`domlab.verify._default_corpus`.
+Biconditional statements go through :func:`_iff`, which reports which
+direction failed; the product biconditionals (T2, T3, T4, LK2, DKN) all take
+one form, :func:`_wd_iff`, whose verdict and witness come from one
+well-dominated certificate.
 
 Pair implications whose conclusion or hypothesis speaks of the factors
 (T1, WCFACTOR, G4CART, DK, L3G, TV) test the factor side first and build
@@ -99,6 +102,8 @@ class TheoremEntry:
     conclusion: Callable  # returns Verdict with status holds/counterexample
     tagged: bool = False  # the report lists its verdicts' tags, even when none has one
     swap_invariant: bool = False  # (g, h) and (h, g) always get the same status
+    orders: tuple[int, int] | None = None  # default sweep orders, of each factor for a pair
+    triangle_free: bool = False  # the default sweep is over triangle-free graphs
 
 
 def _sets(**kw) -> dict:
@@ -514,13 +519,14 @@ THEOREMS: dict[str, TheoremEntry] = {
         TheoremEntry("T1", 2, "a well-dominated Cartesian product has a "
                      "well-dominated factor", _both(_hyp_connected), _t1, swap_invariant=True),
         TheoremEntry("T2", 2, "a triangle-free Cartesian product is well-dominated "
-                     "only for K2 box K2", _hyp_pair_girth4, _t2, swap_invariant=True),
+                     "only for K2 box K2", _hyp_pair_girth4, _t2, swap_invariant=True,
+                     triangle_free=True),
         TheoremEntry("T3", 2, "well-dominated direct products with an "
                      "isolatable-free factor are K3xK3 or K2 with a 4-cycle/corona",
                      _hyp_t3, _t3, swap_invariant=True),
         TheoremEntry("T4", 2, "well-dominated disjunctive products pair a complete "
                      "factor with a well-dominated mate of gamma <= 2",
-                     _hyp_pair_nontrivial_connected, _t4, swap_invariant=True),
+                     _hyp_pair_nontrivial_connected, _t4, swap_invariant=True, orders=(2, 4)),
         TheoremEntry("P1", 1, "well-dominated implies well-covered", _hyp_true, _p1),
         TheoremEntry("CHAIN", 1, "gamma <= i <= alpha <= Gamma", _hyp_true, _chain),
         TheoremEntry("UB3", 2, "gamma(direct product) <= 3 gamma gamma for isolate-free "
@@ -528,11 +534,12 @@ THEOREMS: dict[str, TheoremEntry] = {
         TheoremEntry("WCFACTOR", 2, "a well-covered Cartesian product has a "
                      "well-covered factor", _hyp_true, _wcfactor, swap_invariant=True),
         TheoremEntry("G4CART", 2, "a triangle-free well-covered Cartesian product "
-                     "has a K2 factor", _hyp_pair_girth4, _g4cart, swap_invariant=True),
+                     "has a K2 factor", _hyp_pair_girth4, _g4cart, swap_invariant=True,
+                     triangle_free=True),
         TheoremEntry("PRISM", 1, "a well-dominated prism forces base K2",
-                     _hyp_nontrivial_connected, _prism),
+                     _hyp_nontrivial_connected, _prism, orders=(2, 8)),
         TheoremEntry("BC", 1, "an isolate-free graph has an open irredundant "
-                     "minimum dominating set", _hyp_no_isolated, _bc),
+                     "minimum dominating set", _hyp_no_isolated, _bc, orders=(1, 7)),
         TheoremEntry("DK", 2, "well-covered direct product: the isolatable-free "
                      "factor is complete", _hyp_dk, _dk),
         TheoremEntry("L3G", 2, "well-dominated direct product: 3 gamma >= order "
@@ -541,32 +548,35 @@ THEOREMS: dict[str, TheoremEntry] = {
                      "well-covered with alpha(G)|V(H)| = alpha(H)|V(G)|",
                      _both(_hyp_no_isolated), _tv, swap_invariant=True),
         TheoremEntry("PX", 1, "gamma = n/2 exactly for the 4-cycle and coronas "
-                     "of connected graphs", _hyp_nontrivial_connected, _px),
+                     "of connected graphs", _hyp_nontrivial_connected, _px,
+                     orders=(2, 8)),
         TheoremEntry("LK2", 1, "direct product with K2 well-dominated exactly "
                      "for 4-cycles and coronas of connected graphs",
-                     _hyp_nontrivial_connected, _lk2),
+                     _hyp_nontrivial_connected, _lk2, orders=(2, 8)),
         TheoremEntry("L2P", 1, "well-dominated direct product with K3: every "
                      "maximal independent set is a 2-packing", _hyp_connected, _l2p),
         TheoremEntry("LK3", 1, "direct product with K3 well-dominated only "
-                     "for base K3", _hyp_nontrivial_connected, _lk3),
+                     "for base K3", _hyp_nontrivial_connected, _lk3, orders=(2, 8)),
         TheoremEntry("LNE", 1, "no connected graph has 2 <= alpha = gamma "
                      "with gamma_t = 2 gamma", _hyp_connected, _lne),
         TheoremEntry("DIND", 2, "products of maximal independent sets are maximal "
                      "independent in the disjunctive product", _hyp_true, _dind,
-                     swap_invariant=True),
+                     swap_invariant=True, orders=(2, 4)),
         TheoremEntry("DTOT", 2, "fixed-vertex copies of minimal total dominating "
                      "sets are minimal dominating in the disjunctive product",
-                     _both(_hyp_no_isolated), _dtot, swap_invariant=True),
+                     _both(_hyp_no_isolated), _dtot, swap_invariant=True,
+                     orders=(2, 4)),
         TheoremEntry("DNE", 2, "disjunctive products of two non-complete factors "
-                     "are never well-dominated", _hyp_dne, _dne),
+                     "are never well-dominated", _hyp_dne, _dne, orders=(2, 4)),
         TheoremEntry("DKN", 2, "complete-factor disjunctive product well-dominated "
                      "exactly when the mate is well-dominated with gamma <= 2",
-                     _hyp_dkn, _dkn),
+                     _hyp_dkn, _dkn, orders=(2, 4)),
         TheoremEntry("E1", 2, "a well-dominated disjunctive product of non-complete "
                      "factors would force alpha(G)alpha(H) = gamma_t(G) = gamma_t(H)",
-                     _hyp_e1, _e1, swap_invariant=True),
+                     _hyp_e1, _e1, swap_invariant=True, orders=(2, 4)),
         TheoremEntry("TF11", 1, "the eleven connected triangle-free well-dominated "
-                     "graphs with gamma <= 3", _hyp_tf_connected, _tf11, tagged=True),
+                     "graphs with gamma <= 3", _hyp_tf_connected, _tf11, tagged=True,
+                     triangle_free=True),
         TheoremEntry("G5WD", 1, "well-dominated, girth >= 5: pendant/5-cycle class "
                      "via the 0/2/4 edge condition, else K1, C7, or P10", _hyp_g5wd, _g5wd),
     ]

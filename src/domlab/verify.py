@@ -20,7 +20,6 @@ the verdicts' sorted ``member_tags`` in ``details``.
 
 from __future__ import annotations
 
-import json
 import time
 from array import array
 from collections import Counter
@@ -32,7 +31,7 @@ from .enumeration import DEFAULT_BUDGET, check_orders, enumerate_connected
 from .graph6 import load_graph6_file, parse_graph6, to_graph6  # noqa: F401
 from .graphs import MAX_ORDER, Graph, is_triangle_free
 from .classify import classify_small_triangle_free  # noqa: F401
-from .theorems import THEOREMS, Verdict, check_instance
+from .theorems import THEOREMS, TheoremEntry, Verdict, check_instance
 
 # parse_graph6 and classify_small_triangle_free are not called here; they
 # stay importable because perfbench/tracer.py patches them on this module.
@@ -66,6 +65,8 @@ class CorpusSpec:
     def graphs(self, cache_dir: str | Path | None = None) -> list[Graph]:
         if self.path is not None:
             graphs = load_graph6_file(self.path)
+            if not graphs:
+                raise ValueError(f"no graphs in {self.path}")
             if self.triangle_free:
                 graphs = [g for g in graphs if is_triangle_free(g)]
             return graphs
@@ -92,42 +93,17 @@ class PairCorpusSpec:
                 f"({self.right.describe()}), product order <= {self.product_cap}")
 
 
-#: Default sweep budgets: single-graph statements over connected orders <= 8,
-#: pair statements over factors of order 2..5 (2..4 for disjunctive products)
-#: with product order <= 25.
-def _pair(lo: int, hi: int, triangle_free: bool = False) -> PairCorpusSpec:
-    spec = CorpusSpec(lo, hi, triangle_free)
-    return PairCorpusSpec(spec, spec)
+def _default_corpus(entry: TheoremEntry) -> CorpusSpec | PairCorpusSpec:
+    """A theorem's default sweep: connected graphs of orders 1..8, or ordered
+    pairs of connected factors of orders 2..5 with product order <= 25, unless
+    its table entry sets other ``orders`` or ``triangle_free``."""
+    lo, hi = entry.orders or ((1, 8) if entry.arity == 1 else (2, 5))
+    spec = CorpusSpec(lo, hi, entry.triangle_free)
+    return spec if entry.arity == 1 else PairCorpusSpec(spec, spec)
 
 
 DEFAULT_CORPORA: dict[str, CorpusSpec | PairCorpusSpec] = {
-    "T1": _pair(2, 5),
-    "T2": _pair(2, 5, triangle_free=True),
-    "T3": _pair(2, 5),
-    "T4": _pair(2, 4),
-    "P1": CorpusSpec(1, 8),
-    "CHAIN": CorpusSpec(1, 8),
-    "UB3": _pair(2, 5),
-    "WCFACTOR": _pair(2, 5),
-    "G4CART": _pair(2, 5, triangle_free=True),
-    "PRISM": CorpusSpec(2, 8),
-    "BC": CorpusSpec(1, 7),
-    "DK": _pair(2, 5),
-    "L3G": _pair(2, 5),
-    "TV": _pair(2, 5),
-    "PX": CorpusSpec(2, 8),
-    "LK2": CorpusSpec(2, 8),
-    "L2P": CorpusSpec(1, 8),
-    "LK3": CorpusSpec(2, 8),
-    "LNE": CorpusSpec(1, 8),
-    "DIND": _pair(2, 4),
-    "DTOT": _pair(2, 4),
-    "DNE": _pair(2, 4),
-    "DKN": _pair(2, 4),
-    "E1": _pair(2, 4),
-    "TF11": CorpusSpec(1, 8, triangle_free=True),
-    "G5WD": CorpusSpec(1, 8),
-}
+    tid: _default_corpus(e) for tid, e in THEOREMS.items()}
 
 
 @dataclass
@@ -144,9 +120,6 @@ class VerificationReport:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def _instances(tid: str, corpus, cache_dir) -> list:

@@ -37,7 +37,8 @@ def test_named_graph_grammar():
     assert named_graph("path:2") == path_graph(2)
     assert named_graph("corona-of:path:3") == corona(path_graph(3))
     assert named_graph("special:P10") == special_graph("P10")
-    for bad in ("cycle:2", "cycle:x", "nope:3", "special:Q13", "corona-of:"):
+    deep = "corona-of:" * 1200 + "complete:1"  # order 64 at depth 6, no recursion
+    for bad in ("cycle:2", "cycle:x", "nope:3", "special:Q13", "corona-of:", deep):
         with pytest.raises(ValueError):
             named_graph(bad)
 

@@ -1,9 +1,15 @@
+import contextlib
 import hashlib
+import io
 import json
+import os
 import re
 import time
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from domlab.cli import main
 from domlab.catalog import cycle_graph
@@ -114,11 +120,12 @@ def test_enumerate_output_creates_directories_atomically(capsys, tmp_path):
 ])
 def test_cache_file_of_another_order_fails(capsys, tmp_path, argv):
     _, order4, _ = run(capsys, "enumerate", "4")
-    (tmp_path / "connected-n5.g6").write_text(order4)
-    code, out, err = run(capsys, *argv, "--cache-dir", str(tmp_path))
-    assert code == 2
-    assert out == ""
-    assert str(tmp_path / "connected-n5.g6") in err
+    for planted in (order4, ""):  # graphs of order 4, or none
+        (tmp_path / "connected-n5.g6").write_text(planted)
+        code, out, err = run(capsys, *argv, "--cache-dir", str(tmp_path))
+        assert code == 2
+        assert out == ""
+        assert str(tmp_path / "connected-n5.g6") in err
 
 
 def test_verify_list_and_sweep(capsys):
@@ -362,6 +369,7 @@ def test_error_exit_codes(capsys):
 
 @pytest.mark.parametrize("argv", [
     ["invariants"], ["decide", "connected"], ["classify"], ["greedy"],
+    ["verify", "LNE", "--workers", "1", "--corpus"],
 ], ids=lambda argv: argv[0])
 def test_empty_g6_file_is_an_input_error(capsys, tmp_path, argv):
     empty = tmp_path / "EMPTY.g6"
@@ -428,3 +436,145 @@ def test_human_output_is_pinned(capsys, tmp_path):
         code, out, _ = run(capsys, *argv)
         digest.update(f"{code}\n{re.sub(r'elapsed_ms: [0-9.e-]+', 'elapsed_ms', out)}".encode())
     assert digest.hexdigest() == "970a4ff560c8bffa4726ed12b606759e817fb89084e49f95dcceef7b66de3391"
+
+
+# -- the command-line contract ----------------------------------------------------
+
+GOOD_GRAPHS = [  # graph6 literals, named: specs of order <= 8, and file names
+    "@", "Ch", "DQc", "Bw", "named:complete:1", "named:path:4", "named:cycle:7",
+    "named:special:H1", "named:corona-of:path:4", "named:corona-of:corona-of:complete:2",
+    "good",
+]
+BAD_GRAPHS = [
+    "?", "", "A_x", "B~", "~~~", "not-a-graph", "named:cycle:2", "named:complete:0",
+    "named:path:x", "named:nope:3", "named:special:Q13", "named:corona-of:", "named:complete:63",
+    # deeper than the recursion limit, which Hypothesis raises by 2,000 frames
+    "named:" + "corona-of:" * 4000 + "complete:1",
+    "bad-line", "empty", "binary", "dir",
+]
+FILES = ["good", "bad-line", "empty", "binary", "dir"]
+CACHE_DIRS = ["cache", "cache", "cache", "wrong-order", "empty-cache", "good"]
+
+
+@pytest.fixture(scope="module")
+def contract_root(tmp_path_factory):
+    """Every file the grammar names: .g6 inputs, cache directories (one whose
+    files for orders 1..5 hold a 6-cycle, one whose files are empty) and
+    config files, all under one temporary directory."""
+    root = tmp_path_factory.mktemp("contract")
+    save_graph6_file(root / "good", [cycle_graph(n) for n in (4, 5, 7)])
+    (root / "bad-line").write_text("Ch\n~~~\n")
+    (root / "empty").write_text("")
+    (root / "binary").write_bytes(b"\xff\xfe\x00\x81")
+    (root / "dir").mkdir()
+    for name, planted in (("wrong-order", [cycle_graph(6)]), ("empty-cache", [])):
+        for n in range(1, 6):
+            for suffix in ("", "-trianglefree"):
+                save_graph6_file(root / name / f"connected-n{n}{suffix}.g6", planted)
+    (root / "good.conf").write_text(f"workers=1\ncache_dir={root / 'cache'}\n")
+    (root / "wrong.conf").write_text(f"cache_dir={root / 'wrong-order'}\n")
+    return root
+
+
+@st.composite
+def contract_calls(draw, root):
+    """One argv, the DOMLAB_* environment to run it in, and whether it names
+    a bad input that must fail; no draw enumerates or sweeps past order 5 or
+    starts a pool."""
+    def pick(options):
+        return draw(st.sampled_from(options))
+
+    def maybe(*flag):
+        return list(flag) if draw(st.booleans()) else []
+
+    def path(name):
+        return str(root / name)
+
+    graphs = []  # the graph and corpus arguments drawn, by name
+
+    def graph():
+        graphs.append(pick(pick([GOOD_GRAPHS, BAD_GRAPHS])))
+        return path(graphs[-1]) if graphs[-1] in FILES else graphs[-1]
+
+    env = {"HOME": str(root)}
+    config = pick([None, None, None, "good.conf", "wrong.conf", "nope.conf", "dir"])
+    env_cache, flag_cache = pick([None, *CACHE_DIRS]), pick([None, None, *CACHE_DIRS])
+    if config is not None:
+        env["DOMLAB_CONFIG"] = path(config)
+    if env_cache is not None:
+        env["DOMLAB_CACHE_DIR"] = path(env_cache)
+    cache = ["--cache-dir", path(flag_cache)] if flag_cache else []
+    # the cache directory that counts: flag, environment, then config file (a
+    # config that is not a file is as bad as a bad directory)
+    cache_dir = flag_cache or env_cache or {"good.conf": "cache",
+                                            "wrong.conf": "wrong-order"}.get(config, config)
+    command = pick(["invariants", "decide", "product", "classify", "greedy",
+                    "enumerate", "enumerate", "verify", "verify", "verify"])
+    bad = False
+    if command in ("invariants", "classify"):
+        argv = [command, graph()]
+    elif command == "decide":
+        argv = [command, pick(["well-dominated", "well-covered", "connected",
+                               "triangle-free", "corona", "pc-member"]), graph()]
+        argv += maybe("--assert")
+    elif command == "product":
+        argv = [command, pick(["cartesian", "direct", "disjunctive"]), graph(), graph()]
+        argv += maybe("--emit", pick(["graph6", "dot"]))
+    elif command == "greedy":
+        argv = [command, graph()] + maybe("--mode", pick(["dominating", "independent"]))
+        argv += pick([[], ["--seed", "5"], ["--ordering", pick(["0,1,2,3", "3,2,1,0", "0,0", "a"])]])
+    elif command == "enumerate":
+        argv = [command, pick(["1", "3", "4", "5", "0", "10", "63"])] + maybe("--triangle-free")
+        argv += maybe("--budget", pick(["0", "3", "9", "9"]))
+        argv += maybe("--output", pick([path("out/n.g6"), path("dir")])) + cache
+        bad = cache_dir not in (None, "cache")
+    else:
+        tid = pick(["LNE", "TF11", "PRISM", "T1", "T4", "DK", "NOPE", "--list", None])
+        argv = [command] + ([tid] if tid else [])
+        corpus = maybe(pick(FILES))
+        argv += (["--corpus", path(*corpus)] if corpus else []) + maybe("--triangle-free")
+        if not corpus or draw(st.booleans()):  # orders bound every enumerated corpus
+            argv += ["--max-order", pick(["1", "3", "4", "5", "0"])]
+            argv += maybe("--min-order", pick(["2", "4"]))
+        argv += maybe("--product-cap", pick(["4", "25", "25", "0", "63"]))
+        argv += maybe("--budget", pick(["0", "9", "9"])) + maybe("--cap", pick(["0", "0", "-1"]))
+        workers = pick(["1", "1", "1", "0", "-2", None])
+        if workers is None:  # the environment, never the CPU count
+            env["DOMLAB_WORKERS"] = pick(["1", "x", "0"])
+        else:
+            argv += ["--workers", workers]
+        argv += cache
+        graphs += corpus
+        bad = tid != "--list" and not corpus and cache_dir not in (None, "cache")
+    bad = bad or any(g in BAD_GRAPHS for g in graphs) and "--list" not in argv
+    return (argv + maybe("--json") if command != "enumerate" else argv), env, bad
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_cli_contract(contract_root, data):
+    # Whatever argparse accepts ends with exit 0, 1 or 2 and no traceback; 2
+    # is one "error:" line and nothing on stdout, 1 only a failed
+    # decide --assert, and 0 always reports something (or writes --output).
+    # A draw that names a bad graph, corpus file, cache directory or config
+    # file exits 2.
+    argv, env, bad = data.draw(contract_calls(contract_root))
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, env):
+        for name in {"DOMLAB_CONFIG", "DOMLAB_CACHE_DIR", "DOMLAB_WORKERS"} - set(env):
+            os.environ.pop(name, None)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        except SystemExit as exc:  # argparse rejected the draw
+            assert exc.code == 2
+            return
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2), argv
+    assert code == 2 or not bad, argv
+    if code == 2:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+    elif code == 1:
+        assert argv[0] == "decide" and "--assert" in argv, argv
+    else:
+        assert out or "--output" in argv, argv

@@ -181,9 +181,9 @@ def test_cache_file_never_stands_in_for_the_enumerator(tmp_path, empty_caches):
 
 
 def test_cache_file_of_another_order_is_rejected(tmp_path, empty_caches):
-    # the order-4 census planted as the order-5 file, and one stray graph
-    # among order-5 ones: both name the file, and neither is kept
-    for planted in (connected_graphs(4), [STAR5, Graph(4, [(0, 1)])]):
+    # the order-4 census planted as the order-5 file, one stray graph among
+    # order-5 ones, and no graphs at all: each names the file, none is kept
+    for planted in (connected_graphs(4), [STAR5, Graph(4, [(0, 1)])], []):
         save_graph6_file(tmp_path / "connected-n5.g6", planted)
         for _ in range(2):
             with pytest.raises(ValueError, match="connected-n5.g6"):

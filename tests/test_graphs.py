@@ -49,8 +49,6 @@ def test_graph_validation():
         Graph(3, [(0, 0)])
     with pytest.raises(ValueError):
         Graph(3, [(0, 3)])
-    with pytest.raises(ValueError):
-        Graph.from_adjacency([0b010, 0b000, 0b000])  # asymmetric
 
 
 def test_closed_neighborhood_examples():

@@ -58,7 +58,7 @@ def test_tf11_members_on_small_corpus(monkeypatch):
 
 def test_report_json_shape():
     report = verify_corpus("CHAIN", CorpusSpec(1, 5))
-    payload = json.loads(report.to_json())
+    payload = report.to_dict()
     for field in ("theorem", "corpus", "scanned", "hypothesis_not_met",
                   "counterexamples", "elapsed_ms"):
         assert field in payload
@@ -420,4 +420,4 @@ def test_report_roundtrip_dataclass():
         theorem="X", corpus="c", scanned=3, holds=2, hypothesis_not_met=1,
         counterexample_count=0, counterexamples=[], elapsed_ms=1.5,
     )
-    assert json.loads(report.to_json())["theorem"] == "X"
+    assert report.to_dict()["theorem"] == "X"
