@@ -6,7 +6,7 @@ verify.  Graph inputs are one of: a graph6 literal, a path to a .g6 file
 :mod:`domlab.catalog`).
 
 Exit codes: 0 success / theorem holds; 1 counterexample found or a failed
-``--assert``; 2 usage or input error.
+``--assert``; 2 usage or input error; 141 stdout closed by its reader.
 
 Configuration precedence: command-line flags, then ``DOMLAB_*`` environment
 variables, then the key=value config file at ``~/.domlab.conf`` (override
@@ -286,6 +286,9 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_verify(args) -> int:
     if args.list:
+        if any(v is not None and v is not False for k, v in vars(args).items()
+               if k not in ("command", "func", "list", "json")):
+            raise CliError("verify --list takes no theorem id or sweep option")
         rows = [{"id": tid, "arity": e.arity, "summary": e.summary}
                 for tid, e in sorted(THEOREMS.items())]
         _emit(rows, args.json)
@@ -301,10 +304,10 @@ def _cmd_verify(args) -> int:
         raise CliError(f"--product-cap does not apply to {tid}, which takes one graph")
     default = DEFAULT_CORPORA[tid]
     base = default.left if isinstance(default, PairCorpusSpec) else default
-    orders = {"min_order": args.min_order, "max_order": args.max_order}
+    given = {"min_order": args.min_order, "max_order": args.max_order,
+             "path": args.corpus, "budget": args.budget}
     corpus = replace(base, triangle_free=base.triangle_free or args.triangle_free,
-                     path=args.corpus, budget=args.budget,
-                     **{key: val for key, val in orders.items() if val is not None})
+                     **{key: val for key, val in given.items() if val is not None})
     if isinstance(default, PairCorpusSpec):
         cap = args.product_cap if args.product_cap is not None else default.product_cap
         corpus = replace(default, left=corpus, right=corpus, product_cap=cap)
@@ -314,7 +317,8 @@ def _cmd_verify(args) -> int:
     except ValueError:
         raise CliError(f"workers must be an integer, got {workers!r}") from None
     cache_dir = _setting(args.cache_dir, "DOMLAB_CACHE_DIR", "cache_dir")
-    report = verify_corpus(tid, corpus, workers=workers, cache_dir=cache_dir, cap=args.cap)
+    cap = COUNTEREXAMPLE_CAP if args.cap is None else args.cap
+    report = verify_corpus(tid, corpus, workers=workers, cache_dir=cache_dir, cap=cap)
     payload = report.to_dict()
     payload["schema"] = "domlab-report-v1"
     _emit(payload, args.json)
@@ -388,10 +392,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="read instances from a .g6 file (pair theorems draw "
                         "both factors from it)")
     p.add_argument("--product-cap", type=int, default=None)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=int, default=None)
     p.add_argument("--workers", type=int, default=None)
     p.add_argument("--cache-dir", default=None)
-    p.add_argument("--cap", type=int, default=COUNTEREXAMPLE_CAP,
+    p.add_argument("--cap", type=int, default=None,
                    help="max counterexample certificates kept in the report")
     add_json(p)
     p.set_defaults(func=_cmd_verify)
@@ -403,7 +407,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # here, not at exit, so that a closed stdout is caught
+        return code
+    except BrokenPipeError:  # stdout's reader left, which is no input error; as
+        # Python's signal docs advise, stdout goes to devnull so exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE
     except (CliError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -177,32 +177,17 @@ def open_neighborhood(g: Graph, s: int) -> int:
 # -- distances and connectivity ---------------------------------------------
 
 
-def bfs_distances(g: Graph, source: int) -> list[float]:
-    """Distances from ``source`` to every vertex; ``math.inf`` if unreachable."""
-    dist: list[float] = [INFINITY] * g.n
-    dist[source] = 0
-    frontier = 1 << source
-    seen = frontier
-    d = 0
-    while frontier:
-        nxt = 0
-        for v in iter_bits(frontier):
-            nxt |= g.adj[v]
-        nxt &= ~seen
-        d += 1
-        for v in iter_bits(nxt):
-            dist[v] = d
-        seen |= nxt
-        frontier = nxt
-    return dist
-
 def distance(g: Graph, u: int, v: int) -> float:
     """Length of a shortest u,v-path; ``math.inf`` across components."""
     if not (0 <= u < g.n and 0 <= v < g.n):
         raise ValueError("vertex index out of range")
-    if u == v:
-        return 0
-    return bfs_distances(g, u)[v]
+    seen = level = 1 << u
+    d = 0
+    while level and not level >> v & 1:  # level d of a breadth-first search from u
+        level = open_neighborhood(g, level) & ~seen
+        seen |= level
+        d += 1
+    return d if level else INFINITY
 
 
 def is_connected(g: Graph) -> bool:

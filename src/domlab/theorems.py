@@ -22,7 +22,18 @@ the product only when that side does not settle the instance; the verdict
 is the same boolean, so status, clause and witness are unchanged.  UB3
 accepts a greedy dominating set of the direct product within the bound,
 since gamma is at most the size of any dominating set, and runs the exact
-search only when the greedy set is too large.
+search only when the greedy set is too large.  LK2, L2P and LK3 build no
+g x K_m (m = 2, 3) when g's kept i and alpha differ, for then the product is
+not well-covered, hence not well-dominated: for a maximal independent set I
+of g, I x V(K_m) is maximal independent in g x K_m (a vertex (v, x) with v
+not in I has a neighbour c in I, and (c, y) is adjacent to it for any
+y != x), so the product has maximal independent sets of sizes m i and
+m alpha.  LK2 still builds the product when g has the shape, so that a
+failed converse names its witness; a skipped product always reads ``HOLDS``.
+PRISM builds every prism, since no such lemma holds for g box K2 (50
+connected graphs of order <= 8 that are not well-covered have a well-covered
+prism), and the pair sweeps build every product, since TV and DIND check the
+lemma's general forms.
 
 A fact that costs something or is asked again is kept on its graph as
 ``g.fact(fn)`` (:meth:`Graph.fact`), with ``fn`` looked up by its module
@@ -149,8 +160,12 @@ def _total_list(g: Graph) -> list[int]:
     return list(_iter_minimal_total_dominating(g))
 
 
+def _i_equals_alpha(g: Graph) -> bool:
+    return independent_domination_number(g) == independence_number(g)
+
+
 def _k3_well_dominated(g: Graph) -> bool:
-    return is_well_dominated(direct(g, K3).graph)
+    return _i_equals_alpha(g) and is_well_dominated(direct(g, K3).graph)
 
 
 # -- single-graph conclusions -------------------------------------------------
@@ -201,6 +216,8 @@ def _px(g: Graph) -> Verdict:
 
 
 def _lk2(g: Graph) -> Verdict:
+    if not _i_equals_alpha(g) and not _c4_or_corona(g):
+        return HOLDS
     return _wd_iff(direct(g, K2).graph, _c4_or_corona(g),
                    "direct product with K2 well-dominated but base has the wrong shape",
                    "4-cycle or corona, but direct product with K2 not well-dominated")

@@ -173,6 +173,8 @@ def verify_corpus(
         corpus = DEFAULT_CORPORA[tid]
     start = time.perf_counter()
     instances = _instances(tid, corpus, cache_dir)
+    if not instances:
+        raise ValueError(f"{tid} has no instance in {corpus.describe()}")
     if THEOREMS[tid].swap_invariant:
         swaps = _swaps(instances)
         tasks = array("i", (i for i, j in enumerate(swaps) if i <= j))

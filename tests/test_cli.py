@@ -4,15 +4,20 @@ import io
 import json
 import os
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import domlab
 from domlab.cli import main
-from domlab.catalog import cycle_graph
+from domlab.catalog import complete_graph, cycle_graph
+from domlab.enumeration import DEFAULT_BUDGET
 from domlab.graph6 import save_graph6_file, to_graph6
 
 
@@ -140,6 +145,39 @@ def test_verify_list_and_sweep(capsys):
     payload = json.loads(out)
     assert payload["counterexample_count"] == 0
     assert payload["schema"] == "domlab-report-v1"
+
+
+@pytest.mark.parametrize("extra", [
+    ["LNE"], ["--corpus", "x.g6"], ["--min-order", "2"], ["--max-order", "5"],
+    ["--triangle-free"], ["--product-cap", "4"], ["--budget", str(DEFAULT_BUDGET)],
+    ["--cap", "0"], ["--workers", "0"], ["--cache-dir", "c"],
+])
+def test_verify_list_takes_no_sweep_option(capsys, extra):
+    code, out, err = run(capsys, "verify", "--list", *extra, "--json")
+    assert (code, out) == (2, "") and "--list" in err
+
+
+def test_verify_sweep_with_no_instance_fails(capsys, tmp_path):
+    path = tmp_path / "k3.g6"
+    save_graph6_file(path, [complete_graph(3)])
+    for argv in (["T1", "--max-order", "3", "--product-cap", "3"],  # no product of order <= 3
+                 ["LNE", "--corpus", str(path), "--triangle-free"]):
+        code, out, err = run(capsys, "verify", *argv, "--workers", "1")
+        assert (code, out) == (2, "") and "has no instance in" in err, argv
+
+
+def test_closed_stdout_exits_141_quietly():
+    # The reader closes the pipe before the list, small enough to sit in the
+    # stdout buffer until the end, is written: the flush in main must see it.
+    # The child's stdout is block-buffered, as a pipe's is by default.
+    src = str(Path(domlab.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.Popen([sys.executable, "-m", "domlab.cli", "verify", "--list"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert (proc.wait(), err) == (141, b"")
 
 
 def test_verify_json_matches_schema(capsys):
@@ -545,8 +583,9 @@ def contract_calls(draw, root):
             argv += ["--workers", workers]
         argv += cache
         graphs += corpus
-        bad = tid != "--list" and not corpus and cache_dir not in (None, "cache")
-    bad = bad or any(g in BAD_GRAPHS for g in graphs) and "--list" not in argv
+        # every --list draw carries a sweep option (--corpus or --max-order)
+        bad = tid == "--list" or not corpus and cache_dir not in (None, "cache")
+    bad = bad or any(g in BAD_GRAPHS for g in graphs)
     return (argv + maybe("--json") if command != "enumerate" else argv), env, bad
 
 

@@ -68,6 +68,18 @@ def test_distance_examples():
     assert distance(two_k2, 0, 3) == math.inf
 
 
+def test_distance_matches_networkx():
+    # every vertex pair of every graph of order <= 6, disconnected ones included
+    nx = pytest.importorskip("networkx")
+    for g in (g for n in range(1, 7) for g in all_graphs(n)):
+        h = nx.Graph(list(g.edges()))
+        h.add_nodes_from(range(g.n))
+        lengths = dict(nx.all_pairs_shortest_path_length(h))
+        for u in range(g.n):
+            assert [distance(g, u, v) for v in range(g.n)] == [
+                lengths[u].get(v, math.inf) for v in range(g.n)], (g, u)
+
+
 def test_girth_examples():
     assert girth(complete_graph(3)) == 3
     assert girth(path_graph(4)) == math.inf

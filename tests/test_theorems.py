@@ -10,9 +10,11 @@ from domlab.domination import (
     _iter_minimal_total_dominating,
     is_minimal_dominating,
     is_maximal_independent,
+    is_well_covered,
 )
 from domlab.classify import universal_vertices
-from domlab.enumeration import all_graphs
+from domlab.enumeration import all_graphs, connected_graphs
+from domlab.graph6 import to_graph6
 from domlab.graphs import Graph, is_connected, iter_bits, mask_of
 from domlab import theorems
 from domlab.products import cartesian, direct, disjunctive
@@ -257,6 +259,39 @@ def test_forced_wrong_shape_predicates_digest(monkeypatch):
             counterexamples += v.status == "counterexample"
     assert (scanned, counterexamples, digest.hexdigest()) == (
         49988, 24700, "24da16ba5da365fd8dc7053a5067423c0f6e65f603a0e2b7d5130a352d329d34")
+
+
+def test_skipped_direct_products_are_not_well_covered():
+    # The lemma behind the shortcut of LK2, L2P and LK3: for every graph of
+    # order <= 7, disconnected ones included, whose i and alpha differ, the
+    # direct product with K2 and with K3 is not well-covered.
+    checked = 0
+    for g in (g for n in range(1, 8) for g in all_graphs(n)):
+        if not theorems._i_equals_alpha(g):
+            for k in (K2, K3):
+                assert not is_well_covered(direct(g, k).graph), (to_graph6(g), k.n)
+                checked += 1
+    assert checked == 2030
+
+
+def test_shortcut_changes_no_verdict(monkeypatch):
+    # Every connected graph of orders 2..7 gets the same LK2, L2P and LK3
+    # verdicts, clause and witness included, with the shortcut and with every
+    # product built; fresh graphs each time, so that no kept fact carries over.
+    built = []
+    direct = theorems.direct
+    monkeypatch.setattr(theorems, "direct", lambda g, h: built.append(h.n) or direct(g, h))
+
+    def verdicts():
+        graphs = [Graph(g.n, g.edges()) for n in range(2, 8) for g in connected_graphs(n)]
+        return [check_instance(tid, g) for tid in ("LK2", "L2P", "LK3") for g in graphs]
+
+    shortcut = verdicts()
+    counts = built.count(2), built.count(3)
+    built.clear()
+    monkeypatch.setattr(theorems, "_i_equals_alpha", lambda g: True)
+    assert verdicts() == shortcut
+    assert (counts, (built.count(2), built.count(3))) == ((146, 146), (995, 995))
 
 
 def swap_mismatches(max_order: int, cap: int) -> dict[str, list]:

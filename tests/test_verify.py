@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from domlab import theorems, verify
 from domlab.catalog import complete_graph, cycle_graph, path_graph
+from domlab.domination import is_well_covered
 from domlab.graph6 import save_graph6_file, to_graph6
 from domlab.graphs import MAX_ORDER, Graph
 from domlab.verify import (
@@ -260,7 +261,8 @@ def test_check_instance_outside_a_sweep_gives_the_sweep_verdicts(tid):
 
 def test_l2p_and_lk3_build_each_k3_product_once(monkeypatch, tmp_path):
     # Factors read from fresh cache files, so no earlier test has kept facts
-    # on them; both sweeps read the same graph objects.
+    # on them; both sweeps read the same graph objects.  A base that is not
+    # well-covered gets no product at all: 38 of the 142 bases get one.
     from domlab.enumeration import connected_graphs
 
     for n in range(2, 7):
@@ -276,7 +278,10 @@ def test_l2p_and_lk3_build_each_k3_product_once(monkeypatch, tmp_path):
     corpus = CorpusSpec(2, 6)
     for tid in ("L2P", "LK3"):
         assert verify_corpus(tid, corpus, cache_dir=tmp_path).counterexample_count == 0
-    assert len(bases) == len({id(g) for g in bases}) == len(corpus.graphs(tmp_path))
+    graphs = corpus.graphs(tmp_path)
+    covered = {id(g) for g in graphs if is_well_covered(g)}
+    assert len(bases) == len({id(g) for g in bases}) == len(covered) == 38
+    assert {id(g) for g in bases} == covered and len(graphs) == 142
 
 
 def test_file_corpus(tmp_path):
