@@ -224,6 +224,8 @@ def girth(g: Graph) -> float:
     """
     best = INFINITY
     for root in range(g.n):
+        if best == 3:  # no cycle is shorter
+            break
         seen = level = 1 << root
         d = 0
         while level and 2 * d + 1 < best:

@@ -30,10 +30,17 @@ not in I has a neighbour c in I, and (c, y) is adjacent to it for any
 y != x), so the product has maximal independent sets of sizes m i and
 m alpha.  LK2 still builds the product when g has the shape, so that a
 failed converse names its witness; a skipped product always reads ``HOLDS``.
-PRISM builds every prism, since no such lemma holds for g box K2 (50
-connected graphs of order <= 8 that are not well-covered have a well-covered
-prism), and the pair sweeps build every product, since TV and DIND check the
-lemma's general forms.
+No such lemma holds for the prism g box K2 (50 connected graphs of order
+<= 8 that are not well-covered have a well-covered prism), so PRISM uses
+another.  Take a maximum independent set A of g, a greedy maximal independent
+set J of g - A and a minimum dominating set D.  D x {0, 1} dominates the
+prism, and A x {0} u J x {1} is maximal independent in it, hence minimal
+dominating: the layers meet only in the edges (v, 0)(v, 1) and J misses A;
+a vertex (v, 0) outside the set has a neighbour in A x {0}, and a (v, 1)
+outside it has (v, 0) when v is in A and a neighbour in J x {1} otherwise.
+So alpha + |J| > 2 gamma gives the prism minimal dominating sets of two sizes, and PRISM
+reads ``HOLDS`` without building it.  The pair sweeps build every product,
+since TV and DIND check the lemma's general forms.
 
 A fact that costs something or is asked again is kept on its graph as
 ``g.fact(fn)`` (:meth:`Graph.fact`), with ``fn`` looked up by its module
@@ -63,6 +70,7 @@ from .classify import (
 )
 from .domination import (
     _greedy_cover,
+    _greedy_independent,
     _iter_maximal_independent,
     _iter_minimal_total_dominating,
     domination_number,
@@ -80,7 +88,7 @@ from .domination import (
     well_covered_certificate,
     well_dominated_certificate,
 )
-from .graphs import Graph, girth, is_connected, set_of
+from .graphs import Graph, girth, is_connected, iter_bits, set_of
 from .isomorphism import are_isomorphic
 from .products import cartesian, direct, disjunctive, spread
 
@@ -164,6 +172,12 @@ def _i_equals_alpha(g: Graph) -> bool:
     return independent_domination_number(g) == independence_number(g)
 
 
+def _prism_has_two_sizes(g: Graph) -> bool:
+    _, alpha, widest = g.fact(domination._mis_extrema)
+    rest = _greedy_independent(g.adj, iter_bits(g.full_mask & ~widest))
+    return alpha + rest.bit_count() > 2 * domination_number(g)
+
+
 def _k3_well_dominated(g: Graph) -> bool:
     return _i_equals_alpha(g) and is_well_dominated(direct(g, K3).graph)
 
@@ -194,6 +208,8 @@ def _chain(g: Graph) -> Verdict:
 
 
 def _prism(g: Graph) -> Verdict:
+    if _prism_has_two_sizes(g):
+        return HOLDS
     p = cartesian(g, K2).graph
     if is_well_dominated(p) and not are_isomorphic(g, K2):
         return _fail("prism well-dominated but base is not K2")

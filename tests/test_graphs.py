@@ -96,6 +96,14 @@ def test_girth_against_bruteforce(rng):
         assert girth(g) == bruteforce.girth_brute(g)
 
 
+def test_girth_matches_bruteforce_exhaustively():
+    # all 1,252 graphs of order <= 7, disconnected ones included
+    graphs = [g for n in range(1, 8) for g in all_graphs(n)]
+    assert len(graphs) == 1252
+    for g in graphs:
+        assert girth(g) == bruteforce.girth_brute(g), g
+
+
 def test_girth3_iff_adjacent_common_neighbor():
     for n in range(2, 7):
         for g in connected_graphs(n):

@@ -11,6 +11,7 @@ from domlab.domination import (
     is_minimal_dominating,
     is_maximal_independent,
     is_well_covered,
+    is_well_dominated,
 )
 from domlab.classify import universal_vertices
 from domlab.enumeration import all_graphs, connected_graphs
@@ -292,6 +293,38 @@ def test_shortcut_changes_no_verdict(monkeypatch):
     monkeypatch.setattr(theorems, "_i_equals_alpha", lambda g: True)
     assert verdicts() == shortcut
     assert (counts, (built.count(2), built.count(3))) == ((146, 146), (995, 995))
+
+
+def test_skipped_prisms_are_not_well_dominated():
+    # The lemma behind PRISM's rule: for every graph of order <= 7,
+    # disconnected ones included, on which the rule fires, the prism is not
+    # well-dominated.
+    fired = 0
+    for g in (g for n in range(1, 8) for g in all_graphs(n)):
+        if theorems._prism_has_two_sizes(g):
+            assert not is_well_dominated(cartesian(g, K2).graph), to_graph6(g)
+            fired += 1
+    assert fired == 863
+
+
+def test_prism_rule_changes_no_verdict(monkeypatch):
+    # Every connected graph of orders 2..7 gets the same PRISM verdict with
+    # the rule and with every prism built; fresh graphs each time, so that no
+    # kept fact carries over.
+    built = []
+    cartesian = theorems.cartesian
+    monkeypatch.setattr(theorems, "cartesian", lambda g, h: built.append(g) or cartesian(g, h))
+
+    def verdicts():
+        graphs = [Graph(g.n, g.edges()) for n in range(2, 8) for g in connected_graphs(n)]
+        return [check_instance("PRISM", g) for g in graphs]
+
+    ruled = verdicts()
+    with_rule = len(built)
+    built.clear()
+    monkeypatch.setattr(theorems, "_prism_has_two_sizes", lambda g: False)
+    assert verdicts() == ruled
+    assert (with_rule, len(built)) == (205, 995)
 
 
 def swap_mismatches(max_order: int, cap: int) -> dict[str, list]:
