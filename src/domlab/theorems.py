@@ -39,8 +39,28 @@ dominating: the layers meet only in the edges (v, 0)(v, 1) and J misses A;
 a vertex (v, 0) outside the set has a neighbour in A x {0}, and a (v, 1)
 outside it has (v, 0) when v is in A and a neighbour in J x {1} otherwise.
 So alpha + |J| > 2 gamma gives the prism minimal dominating sets of two sizes, and PRISM
-reads ``HOLDS`` without building it.  The pair sweeps build every product,
-since TV and DIND check the lemma's general forms.
+reads ``HOLDS`` without building it.
+
+DNE, T4 and E1 decide no disjunctive product g v h that the factors' kept
+facts already give minimal dominating sets of two sizes.  For maximal
+independent sets I of g and J of h, I x J is maximal independent in g v h
+(DIND's lemma), hence minimal dominating, so the product has minimal
+dominating sets of sizes i(g) i(h) and alpha(g) alpha(h), which differ when
+g or h is not well-covered.  For a vertex v of g that is not universal and a
+minimal total dominating set T of h, {v} x T is minimal dominating (DTOT's
+lemma): a vertex (a, b) has a neighbour t of b in T, so (v, t) dominates it;
+and for t in T, a vertex b of h whose only neighbour in T is t, and a
+vertex a != v of g not adjacent to v, (a, b) is dominated by (v, t) alone.
+So alpha(g) alpha(h) and the sizes |T| of each isolate-free factor whose mate
+is not complete are sizes of minimal dominating sets, and two distinct values
+among them make g v h not well-dominated.  Where that holds, DNE reads
+``HOLDS``, and so does T4 when neither factor is complete (its right-hand
+side is then false); a complete factor's product is still decided, so that a
+forced converse has products of the wrong shape to fail on.  E1's hypothesis
+uses the well-covered half only: the total half not firing is E1's own
+conclusion.  DKN still builds every product, for the witnesses of its
+converse, and so do DIND and DTOT, which check the two lemmas.  L3G's direct
+products are not skipped either, since its factor-first test needs them.
 
 A fact that costs something or is asked again is kept on its graph as
 ``g.fact(fn)`` (:meth:`Graph.fact`), with ``fn`` looked up by its module
@@ -176,6 +196,21 @@ def _prism_has_two_sizes(g: Graph) -> bool:
     _, alpha, widest = g.fact(domination._mis_extrema)
     rest = _greedy_independent(g.adj, iter_bits(g.full_mask & ~widest))
     return alpha + rest.bit_count() > 2 * domination_number(g)
+
+
+def _disjunctive_has_two_sizes(g: Graph, h: Graph, total: bool = True) -> bool:
+    """True when the kept facts of g and h name two sizes of minimal
+    dominating sets of g v h (the rule in the module docstring); with
+    ``total`` false, only when g or h is not well-covered."""
+    if not (g.fact(is_well_covered) and h.fact(is_well_covered)):
+        return True
+    if not total:
+        return False
+    sizes = {independence_number(g) * independence_number(h)}
+    for x, mate in ((g, h), (h, g)):
+        if universal_vertices(mate) != mate.full_mask and not has_isolated_vertex(x):
+            sizes.update(t.bit_count() for t in x.fact(_total_list))
+    return len(sizes) > 1
 
 
 def _k3_well_dominated(g: Graph) -> bool:
@@ -336,6 +371,8 @@ def _t4_rhs(g: Graph, h: Graph) -> bool:
 
 def _t4(pair) -> Verdict:
     g, h = pair
+    if not is_complete(g) and not is_complete(h) and _disjunctive_has_two_sizes(g, h):
+        return HOLDS
     return _wd_iff(disjunctive(g, h).graph, _t4_rhs(g, h),
                    "disjunctive product well-dominated without the complete-factor shape",
                    "complete factor with small-gamma well-dominated mate, "
@@ -449,6 +486,8 @@ def _dtot(pair) -> Verdict:
 
 def _dne(pair) -> Verdict:
     g, h = pair
+    if _disjunctive_has_two_sizes(g, h):
+        return HOLDS
     p = disjunctive(g, h).graph
     if is_well_dominated(p):
         return _fail("disjunctive product of two non-complete factors is well-dominated")
@@ -543,6 +582,7 @@ def _hyp_e1(pair) -> bool:
     g, h = pair
     return (_hyp_pair_nontrivial_connected(pair)
             and not is_complete(g) and not is_complete(h)
+            and not _disjunctive_has_two_sizes(g, h, total=False)
             and is_well_dominated(disjunctive(g, h).graph))
 
 

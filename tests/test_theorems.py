@@ -17,11 +17,12 @@ from domlab.classify import universal_vertices
 from domlab.enumeration import all_graphs, connected_graphs
 from domlab.graph6 import to_graph6
 from domlab.graphs import Graph, is_connected, iter_bits, mask_of
-from domlab import theorems
+from domlab import enumeration, theorems
 from domlab.products import cartesian, direct, disjunctive
 from domlab.theorems import THEOREMS, Verdict, check_instance
 from domlab.verify import DEFAULT_CORPORA, CorpusSpec, PairCorpusSpec, _instances, verify_corpus
 
+import bruteforce
 from conftest import random_connected_graph
 
 K2 = complete_graph(2)
@@ -325,6 +326,58 @@ def test_prism_rule_changes_no_verdict(monkeypatch):
     monkeypatch.setattr(theorems, "_prism_has_two_sizes", lambda g: False)
     assert verdicts() == ruled
     assert (with_rule, len(built)) == (205, 995)
+
+
+def test_skipped_disjunctive_products_are_not_well_dominated(monkeypatch):
+    # The rule behind the DNE, T4 and E1 skips: for every ordered pair of
+    # graphs of order <= 5, disconnected ones included, with product order
+    # <= 25, on which it fires, the disjunctive product is not well-dominated
+    # (by the subset oracle too, up to order 12).  Then its total half alone,
+    # with every factor read as well-covered, which the first pass only sees
+    # on well-covered pairs.
+    graphs = [g for n in range(1, 6) for g in all_graphs(n)]
+    pairs = [(g, h) for g in graphs for h in graphs if g.n * h.n <= 25]
+
+    def fired():
+        out = [(g, h) for g, h in pairs if theorems._disjunctive_has_two_sizes(g, h)]
+        for g, h in out:
+            p = disjunctive(g, h).graph
+            assert not is_well_dominated(p), (to_graph6(g), to_graph6(h))
+            if p.n <= 12:
+                sizes = {s.bit_count() for s in bruteforce.all_minimal_dominating(p)}
+                assert len(sizes) > 1, (to_graph6(g), to_graph6(h))
+        return len(out)
+
+    assert fired() == 2342
+    monkeypatch.setattr(theorems, "is_well_covered", lambda g: True)
+    assert fired() == 2065
+
+
+def test_disjunctive_rule_changes_no_verdict(monkeypatch):
+    # The default sweeps of DNE, T4 and E1 give the same reports with the
+    # rule and with every product decided; fresh corpora each time, so that
+    # no kept fact carries over.
+    built = []
+    disjunctive = theorems.disjunctive
+    monkeypatch.setattr(theorems, "disjunctive",
+                        lambda g, h: built.append(g) or disjunctive(g, h))
+
+    def reports():
+        monkeypatch.setattr(enumeration, "_all_cache", {})
+        monkeypatch.setattr(enumeration, "_connected_cache", {})
+        out, counts = {}, []
+        for tid in ("T4", "DNE", "E1"):
+            out[tid] = verify_corpus(tid).to_dict()
+            out[tid].pop("elapsed_ms")
+            counts.append(len(built))
+            built.clear()
+        return out, counts
+
+    ruled, ruled_built = reports()
+    monkeypatch.setattr(theorems, "_disjunctive_has_two_sizes", lambda *a, **k: False)
+    every, every_built = reports()
+    assert every == ruled
+    assert (ruled_built, every_built) == ([24, 0, 3], [45, 36, 21])
 
 
 def swap_mismatches(max_order: int, cap: int) -> dict[str, list]:
