@@ -5,26 +5,32 @@ of orders, optionally triangle-free) or from a .g6 file.  Pair theorems sweep
 ordered pairs of two corpora under a product-order cap.  Instances stay the
 corpus's ``Graph`` objects (or ``(g, h)`` tuples of them) all the way to the
 theorem check; graph6 appears only in counterexample certificates.  A sweep can
-fan out over a fork pool of at most one process per task, whose workers inherit
-the instances from a module slot and get only indices, so each factor brings
-the facts it has kept (:meth:`Graph.fact`), and a worker's new facts stay in
-that worker; without ``fork`` it runs in-process.  The report aggregates the
-tasks' :class:`Verdict` objects in instance order, so it does not depend on
-scheduling.  For a swap-invariant theorem a pair (g, h) and its swap (h, g)
-are one task and share its verdict; a counterexample's swap is checked again
-after the map, so that its certificate names its own product.  A certificate carries the instance in
-graph6, the violated clause and witness sets; the report keeps at most ``cap``
-of them but always the full count, and for a tagged theorem ``members`` and
-the verdicts' sorted ``member_tags`` in ``details``.
+fan out by fork-join: of ``workers - 1`` forked children (at most one process
+per task), child k checks tasks k, k + workers, ... and the parent share 0.
+Children inherit the instances and their kept facts (:meth:`Graph.fact`) from
+a module slot and pipe up their verdicts or exception as one pickle; one that
+leaves no result raises a ``RuntimeError`` naming its exit status, and none
+outlives its sweep.  Without ``fork`` it runs in-process.  The report
+aggregates the tasks' :class:`Verdict` objects in instance order, so it does
+not depend on scheduling.  For a swap-invariant theorem a pair (g, h) and its
+swap (h, g) are one task and share its verdict; a counterexample's swap is
+checked again after the join, so that its certificate names its own product.
+A certificate carries the instance in graph6, the violated clause and witness
+sets; the report keeps at most ``cap`` of them but always the full count, and
+for a tagged theorem ``members`` and the verdicts' sorted ``member_tags`` in
+``details``.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
+import signal
 import time
 from array import array
 from collections import Counter
 from dataclasses import asdict, dataclass, field
-from multiprocessing import get_all_start_methods, get_context
+from multiprocessing import get_context  # noqa: F401
 from pathlib import Path
 
 from .enumeration import DEFAULT_BUDGET, check_orders, enumerate_connected
@@ -33,8 +39,8 @@ from .graphs import MAX_ORDER, Graph, is_triangle_free
 from .classify import classify_small_triangle_free  # noqa: F401
 from .theorems import THEOREMS, TheoremEntry, Verdict, check_instance
 
-# parse_graph6 and classify_small_triangle_free are not called here; they
-# stay importable because perfbench/tracer.py patches them on this module.
+# parse_graph6, classify_small_triangle_free and get_context are not called
+# here; the benchmark's tracer and pool probe patch them on this module.
 
 COUNTEREXAMPLE_CAP = 10
 
@@ -148,12 +154,57 @@ def _swaps(instances: list) -> array:
     return swaps
 
 
-# The running sweep, (theorem id, instances); fork workers inherit it.
+# The running sweep, (theorem id, instances); forked children inherit it.
 _sweep: tuple[str, list] | None = None
 
 
 def _check_task(i: int) -> Verdict:
     return check_instance(_sweep[0], _sweep[1][i])
+
+
+def _share(tasks, k: int, workers: int) -> list[Verdict] | BaseException:
+    """Child k's verdicts, or the exception that stopped it, made picklable."""
+    try:
+        return [_check_task(i) for i in tasks[k::workers]]
+    except BaseException as exc:
+        try:
+            return pickle.loads(pickle.dumps(exc))
+        except Exception:
+            return RuntimeError(f"sweep worker failed: {exc!r}")
+
+
+def _fork_join(tasks, workers: int) -> list[Verdict]:
+    """The verdicts of ``tasks`` in order; a child's exception is raised here."""
+    children = {}  # pid -> the read end of its pipe, until reaped
+    try:
+        for k in range(1, workers):
+            r, w = os.pipe()
+            if (pid := os.fork()) == 0:  # a child pipes up its share, never returns
+                try:
+                    os.close(r)
+                    with open(w, "wb") as pipe:
+                        pickle.dump(_share(tasks, k, workers), pipe)
+                finally:
+                    os._exit(0)
+            os.close(w)
+            children[pid] = open(r, "rb")
+        verdicts = [None] * len(tasks)
+        verdicts[::workers] = [_check_task(i) for i in tasks[::workers]]
+        for k, pid in enumerate(list(children), 1):
+            data = children[pid].read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            children.pop(pid).close()
+            if status or not data:
+                raise RuntimeError(f"sweep worker {k} exited with status {status} and no result")
+            if isinstance(share := pickle.loads(data), BaseException):
+                raise share
+            verdicts[k::workers] = share
+        return verdicts
+    finally:
+        for pid, pipe in children.items():  # kill and reap any left running
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def verify_corpus(
@@ -183,10 +234,8 @@ def verify_corpus(
     workers = min(workers, len(tasks))
     _sweep = tid, instances
     try:
-        if workers > 1 and "fork" in get_all_start_methods():
-            chunk = max(1, len(tasks) // (workers * 8))
-            with get_context("fork").Pool(workers) as pool:
-                verdicts = pool.map(_check_task, tasks, chunksize=chunk)
+        if workers > 1 and hasattr(os, "fork"):
+            verdicts = _fork_join(tasks, workers)
         else:
             verdicts = [_check_task(i) for i in tasks]
         if swaps is not None:  # a counterexample's swap gets its own certificate

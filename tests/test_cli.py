@@ -517,8 +517,8 @@ def contract_root(tmp_path_factory):
 @st.composite
 def contract_calls(draw, root):
     """One argv, the DOMLAB_* environment to run it in, and whether it names
-    a bad input that must fail; no draw enumerates or sweeps past order 5 or
-    starts a pool."""
+    a bad input that must fail; no draw enumerates or sweeps past order 5, and
+    some sweeps fork a child (``--workers 2``)."""
     def pick(options):
         return draw(st.sampled_from(options))
 
@@ -576,7 +576,7 @@ def contract_calls(draw, root):
             argv += maybe("--min-order", pick(["2", "4"]))
         argv += maybe("--product-cap", pick(["4", "25", "25", "0", "63"]))
         argv += maybe("--budget", pick(["0", "9", "9"])) + maybe("--cap", pick(["0", "0", "-1"]))
-        workers = pick(["1", "1", "1", "0", "-2", None])
+        workers = pick(["1", "1", "2", "0", "-2", None])
         if workers is None:  # the environment, never the CPU count
             env["DOMLAB_WORKERS"] = pick(["1", "x", "0"])
         else:

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 import random
 from importlib import resources
 
@@ -99,29 +100,53 @@ def test_pair_sweep_reports_match_across_workers(tid):
 
 
 def test_pool_never_starts_more_processes_than_instances(monkeypatch):
-    started = []
+    forked = []
+    fork = os.fork
 
-    class InProcessPool:
-        def __init__(self, processes):
-            started.append(processes)
+    def counted_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items, chunksize=1):
-            return [fn(x) for x in items]
-
-    class Context:
-        Pool = InProcessPool
-
-    monkeypatch.setattr(verify, "get_context", lambda *args: Context())
+    monkeypatch.setattr(os, "fork", counted_fork)
     report = verify_corpus("T4", workers=500)
-    # 9 factors: 81 pairs in 45 tasks, each pair with its swap or a diagonal
+    # 9 factors: 81 pairs in 45 tasks, each pair with its swap or a diagonal;
+    # the parent checks one task and forks a child for each of the other 44
     assert report.scanned == 81
-    assert started == [45]
+    assert len(forked) == 44
+
+
+@pytest.mark.parametrize("case, error, message", [
+    ("child raises", ValueError, "conclusion failed in a child"),
+    ("child raises unpicklable", RuntimeError, "sweep worker failed: .*Unpicklable"),
+    ("child exits", RuntimeError, "exited with status 3 and no result"),
+    ("parent raises", ValueError, "conclusion failed in the parent"),
+])
+def test_failed_fork_join_leaves_no_child_behind(monkeypatch, case, error, message):
+    entry, parent = THEOREMS["T4"], os.getpid()
+
+    class Unpicklable(Exception):  # a local class does not pickle
+        pass
+
+    def conclusion(pair):
+        if os.getpid() == parent:
+            if case == "parent raises":
+                raise ValueError("conclusion failed in the parent")
+        elif case == "child raises":
+            raise ValueError("conclusion failed in a child")
+        elif case == "child raises unpicklable":
+            raise Unpicklable("no pickle")
+        elif case == "child exits":
+            os._exit(3)
+        return entry.conclusion(pair)
+
+    monkeypatch.setitem(THEOREMS, "T4", dataclasses.replace(entry, conclusion=conclusion))
+    with pytest.raises(error, match=message):
+        verify_corpus("T4", workers=3)
+    assert verify._sweep is None
+    with pytest.raises(ChildProcessError):  # every child was reaped
+        os.waitpid(-1, os.WNOHANG)
 
 
 def _t1_factor_decisions(monkeypatch, corpus: PairCorpusSpec) -> tuple[list, int]:
