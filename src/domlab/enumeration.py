@@ -36,7 +36,7 @@ from typing import Iterator
 
 from .graph6 import load_graph6_file, save_graph6_file, to_graph6
 from .graphs import MAX_ORDER, Graph, is_connected, iter_bits, mask_of
-from .isomorphism import canonical_graph, canonical_labeling
+from .isomorphism import canonical_graph, canonical_labeling, orbit
 
 DEFAULT_BUDGET = 9
 
@@ -81,32 +81,13 @@ def all_graphs(n: int, triangle_free: bool = False) -> list[Graph]:
                     if s in seen or triangle_free and any(g.adj[v] & s for v in iter_bits(s)):
                         continue
                     if gens:
-                        seen |= _orbit(s, gens)
+                        seen |= orbit(s, gens)
                     adj = (*(row | bit if s >> v & 1 else row for v, row in enumerate(g.adj)), s)
                     if _new_vertex_may_be_deleted(adj, k):
                         level.add(canonical_graph(Graph._raw(n, adj)))
         out += [h for m in sorted(levels) for h in sorted(levels[m], key=to_graph6)]
     _all_cache[key] = out
     return out
-
-
-def _orbit(s: int, gens: list[tuple[int, ...]]) -> set[int]:
-    """The vertex sets that products of ``gens`` map the set ``s`` onto."""
-    orbit, stack = {s}, [s]
-    while stack:
-        t, vs = stack.pop(), []
-        while t:
-            low = t & -t
-            t ^= low
-            vs.append(low.bit_length() - 1)
-        for p in gens:
-            u = 0
-            for v in vs:
-                u |= 1 << p[v]
-            if u not in orbit:
-                orbit.add(u)
-                stack.append(u)
-    return orbit
 
 
 def _new_vertex_may_be_deleted(adj: tuple[int, ...], k: int) -> bool:

@@ -105,6 +105,25 @@ def _orbit_reaches(start: int, targets: list[int], gens: list[tuple[int, ...]]) 
     return False
 
 
+def orbit(s: int, gens: list[tuple[int, ...]]) -> set[int]:
+    """The vertex sets that products of ``gens`` map the set ``s`` onto."""
+    found, stack = {s}, [s]
+    while stack:
+        t, vs = stack.pop(), []
+        while t:
+            low = t & -t
+            t ^= low
+            vs.append(low.bit_length() - 1)
+        for p in gens:
+            u = 0
+            for v in vs:
+                u |= 1 << p[v]
+            if u not in found:
+                found.add(u)
+                stack.append(u)
+    return found
+
+
 def canonical_labeling(g: Graph) -> tuple[list[int], list[tuple[int, ...]]]:
     """Canonical labeling of ``g`` and automorphisms of ``g`` found on the
     way: ``lab[i]`` is the original vertex placed at position ``i`` of the

@@ -62,20 +62,28 @@ conclusion.  DKN still builds every product, for the witnesses of its
 converse, and so do DIND and DTOT, which check the two lemmas.  L3G's direct
 products are not skipped either, since its factor-first test needs them.
 
+DIND and DTOT check one factor set per orbit of the automorphisms that
+``canonical_labeling`` finds.  Automorphisms a of g and b of h give (x, y) ->
+(a x, b y) of g v h, mapping I x J to aI x bJ and {v} x T to {a v} x bT, so an
+orbit has one answer.  The kept lists hold each orbit's first set in the
+kernel's order; DTOT fixes the lowest non-universal vertex of each vertex orbit.
+If (X, Y) fails first in a full scan, the first X' in X's orbit and Y' in Y's
+fail too and come no later: they are X and Y.
+
 A fact that costs something or is asked again is kept on its graph as
 ``g.fact(fn)`` (:meth:`Graph.fact`), with ``fn`` looked up by its module
 name at each call, so a patched name keys its own entry: connectivity in
 every hypothesis; for factors girth, the two verdicts, isolatable vertices,
-gamma_t and the two set lists; and the direct product with K3 being
-well-dominated, which L2P and LK3 both read.  The cheap shape predicates
-(K2, K3, C4, coronas, completeness, universal and isolated vertices) are
-called afresh, so a patch on them is always seen.
+gamma_t, automorphisms, the two cut set lists and vertex orbits; and the
+direct product with K3 being well-dominated, which L2P and LK3 both read.  The
+cheap shape predicates (K2, K3, C4, coronas, completeness, universal and
+isolated vertices) are called afresh, so a patch on them is always seen.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, Iterable
 
 from . import domination
 from .catalog import complete_graph, cycle_graph, special_graph
@@ -109,7 +117,7 @@ from .domination import (
     well_dominated_certificate,
 )
 from .graphs import Graph, girth, is_connected, iter_bits, set_of
-from .isomorphism import are_isomorphic
+from .isomorphism import are_isomorphic, canonical_labeling, orbit
 from .products import cartesian, direct, disjunctive, spread
 
 K1 = complete_graph(1)
@@ -180,12 +188,27 @@ def _c4_or_corona(g: Graph) -> bool:
 # -- kept facts ------------------------------------------------------------------
 
 
+def _orbit_firsts(g: Graph, sets: Iterable[int]) -> list[int]:
+    """The first of ``sets`` in each orbit of g's kept automorphisms, in order."""
+    gens, firsts, seen = g.fact(canonical_labeling)[1], [], set()
+    for s in sets:
+        if s not in seen:
+            firsts.append(s)
+            seen |= orbit(s, gens)
+    return firsts
+
+
 def _mis_list(g: Graph) -> list[int]:
-    return list(_iter_maximal_independent(g))
+    return _orbit_firsts(g, _iter_maximal_independent(g))
 
 
 def _total_list(g: Graph) -> list[int]:
-    return list(_iter_minimal_total_dominating(g))
+    return _orbit_firsts(g, _iter_minimal_total_dominating(g))
+
+
+def _vertex_firsts(g: Graph) -> int:
+    """The lowest vertex of each vertex orbit, as a mask."""
+    return sum(_orbit_firsts(g, (1 << v for v in range(g.n))))
 
 
 def _i_equals_alpha(g: Graph) -> bool:
@@ -199,9 +222,9 @@ def _prism_has_two_sizes(g: Graph) -> bool:
 
 
 def _disjunctive_has_two_sizes(g: Graph, h: Graph, total: bool = True) -> bool:
-    """True when the kept facts of g and h name two sizes of minimal
-    dominating sets of g v h (the rule in the module docstring); with
-    ``total`` false, only when g or h is not well-covered."""
+    """True when the kept facts of g and h (whose cut set lists keep every
+    size) name two sizes of minimal dominating sets of g v h (the rule in the
+    module docstring); with ``total`` false, only when g or h is not well-covered."""
     if not (g.fact(is_well_covered) and h.fact(is_well_covered)):
         return True
     if not total:
@@ -469,12 +492,10 @@ def _dtot(pair) -> Verdict:
     # copy a minimal total dominating set of the other, in both orientations.
     q = h.n
     for fixed, other, fixed_step, set_step in ((g, h, q, 1), (h, g, 1, q)):
-        uni = universal_vertices(fixed)
+        firsts = fixed.fact(_vertex_firsts) & ~universal_vertices(fixed)
         for t_set in other.fact(_total_list):
             block = spread(t_set, set_step)
-            for v in range(fixed.n):
-                if uni >> v & 1:
-                    continue
+            for v in iter_bits(firsts):
                 prod_set = block << v * fixed_step
                 if not is_minimal_dominating(p, prod_set):
                     return _fail("fixed-vertex copy of a minimal total dominating set "

@@ -15,6 +15,8 @@ aggregates the tasks' :class:`Verdict` objects in instance order, so it does
 not depend on scheduling.  For a swap-invariant theorem a pair (g, h) and its
 swap (h, g) are one task and share its verdict; a counterexample's swap is
 checked again after the join, so that its certificate names its own product.
+Back-to-back pair sweeps share one pair list: a module slot keeps the last one,
+with its swap map, for a sweep of equal product cap on the very same factors.
 A certificate carries the instance in graph6, the violated clause and witness
 sets; the report keeps at most ``cap`` of them but always the full count, and
 for a tagged theorem ``members`` and the verdicts' sorted ``member_tags`` in
@@ -94,6 +96,10 @@ class PairCorpusSpec:
             raise ValueError(
                 f"product cap {self.product_cap} outside 1..{MAX_ORDER}")
 
+    def factors(self, cache_dir: str | Path | None = None) -> tuple[list[Graph], list[Graph]]:
+        left = self.left.graphs(cache_dir)
+        return left, left if self.right == self.left else self.right.graphs(cache_dir)
+
     def describe(self) -> str:
         return (f"ordered pairs of ({self.left.describe()}) x "
                 f"({self.right.describe()}), product order <= {self.product_cap}")
@@ -128,15 +134,14 @@ class VerificationReport:
         return asdict(self)
 
 
-def _instances(tid: str, corpus, cache_dir) -> list:
+def _instances(tid: str, corpus, cache_dir, factors=None) -> list:
     if THEOREMS[tid].arity == 1:
         if isinstance(corpus, PairCorpusSpec):
             raise ValueError(f"{tid} takes a single-graph corpus")
         return corpus.graphs(cache_dir)
     if not isinstance(corpus, PairCorpusSpec):
         raise ValueError(f"{tid} takes a pair corpus")
-    left = corpus.left.graphs(cache_dir)
-    right = left if corpus.right == corpus.left else corpus.right.graphs(cache_dir)
+    left, right = factors or corpus.factors(cache_dir)
     return [(g, h) for g in left for h in right if g.n * h.n <= corpus.product_cap]
 
 
@@ -156,6 +161,9 @@ def _swaps(instances: list) -> array:
 
 # The running sweep, (theorem id, instances); forked children inherit it.
 _sweep: tuple[str, list] | None = None
+# The last pair sweep's [(cap, factor ids), factors (kept, so no id is reused),
+# instances], then swaps and tasks once a swap-invariant theorem needs them.
+_pairs: list | None = None
 
 
 def _check_task(i: int) -> Verdict:
@@ -215,7 +223,7 @@ def verify_corpus(
     cap: int = COUNTEREXAMPLE_CAP,
 ) -> VerificationReport:
     """Sweep one theorem over a corpus and aggregate the verdicts."""
-    global _sweep
+    global _sweep, _pairs
     if tid not in THEOREMS:
         raise KeyError(f"unknown theorem id {tid!r}")
     if workers < 1 or cap < 0:
@@ -223,12 +231,22 @@ def verify_corpus(
     if corpus is None:
         corpus = DEFAULT_CORPORA[tid]
     start = time.perf_counter()
-    instances = _instances(tid, corpus, cache_dir)
+    if THEOREMS[tid].arity == 1 or not isinstance(corpus, PairCorpusSpec):
+        instances = _instances(tid, corpus, cache_dir)
+    else:  # the last pair list, if the cap and the factor objects are the same
+        factors = corpus.factors(cache_dir)
+        key = corpus.product_cap, *(tuple(map(id, x)) for x in factors)
+        if not _pairs or _pairs[0] != key:
+            _pairs = None  # free the old list before the new one is built
+            _pairs = [key, factors, _instances(tid, corpus, cache_dir, factors)]
+        instances = _pairs[2]
     if not instances:
         raise ValueError(f"{tid} has no instance in {corpus.describe()}")
     if THEOREMS[tid].swap_invariant:
-        swaps = _swaps(instances)
-        tasks = array("i", (i for i, j in enumerate(swaps) if i <= j))
+        if not _pairs[3:]:
+            swaps = _swaps(instances)
+            _pairs += swaps, array("i", (i for i, j in enumerate(swaps) if i <= j))
+        swaps, tasks = _pairs[3:]
     else:
         swaps, tasks = None, range(len(instances))
     workers = min(workers, len(tasks))

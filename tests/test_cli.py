@@ -514,11 +514,17 @@ def contract_root(tmp_path_factory):
     return root
 
 
+PAIR_SWEEPS = ["T1", "T4", "DK", "DIND", "DTOT"]
+
+
 @st.composite
 def contract_calls(draw, root):
-    """One argv, the DOMLAB_* environment to run it in, and whether it names
-    a bad input that must fail; no draw enumerates or sweeps past order 5, and
-    some sweeps fork a child (``--workers 2``)."""
+    """The argvs to run one after another, the DOMLAB_* environment to run
+    them in, and "fail" when they name a bad input, "finish" when each must
+    finish its sweep, else None; no draw enumerates or sweeps past order 5,
+    and some sweeps fork a child (``--workers 2``).  About one draw in six is
+    a sweep of good values only: one sweep, or two pair sweeps back to back
+    on one corpus and cache dir."""
     def pick(options):
         return draw(st.sampled_from(options))
 
@@ -547,8 +553,14 @@ def contract_calls(draw, root):
     cache_dir = flag_cache or env_cache or {"good.conf": "cache",
                                             "wrong.conf": "wrong-order"}.get(config, config)
     command = pick(["invariants", "decide", "product", "classify", "greedy",
-                    "enumerate", "enumerate", "verify", "verify", "verify"])
+                    "enumerate", "enumerate", "verify", "verify", "verify", "sweep", "sweep"])
     bad = False
+    if command == "sweep":
+        tid = pick(["LNE", "TF11", "PRISM", *PAIR_SWEEPS])
+        options = ["--max-order", pick(["2", "3"]), "--workers", pick(["1", "1", "1", "2"])]
+        options += maybe("--cache-dir", path("cache")) + maybe("--json")
+        tids = [tid, pick([t for t in PAIR_SWEEPS if t != tid])] if tid in PAIR_SWEEPS else [tid]
+        return [["verify", t, *options] for t in tids], {"HOME": str(root)}, "finish"
     if command in ("invariants", "classify"):
         argv = [command, graph()]
     elif command == "decide":
@@ -586,7 +598,7 @@ def contract_calls(draw, root):
         # every --list draw carries a sweep option (--corpus or --max-order)
         bad = tid == "--list" or not corpus and cache_dir not in (None, "cache")
     bad = bad or any(g in BAD_GRAPHS for g in graphs)
-    return (argv + maybe("--json") if command != "enumerate" else argv), env, bad
+    return [argv + maybe("--json") if command != "enumerate" else argv], env, "fail" if bad else None
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -596,24 +608,25 @@ def test_cli_contract(contract_root, data):
     # is one "error:" line and nothing on stdout, 1 only a failed
     # decide --assert, and 0 always reports something (or writes --output).
     # A draw that names a bad graph, corpus file, cache directory or config
-    # file exits 2.
-    argv, env, bad = data.draw(contract_calls(contract_root))
-    out, err = io.StringIO(), io.StringIO()
-    with mock.patch.dict(os.environ, env):
-        for name in {"DOMLAB_CONFIG", "DOMLAB_CACHE_DIR", "DOMLAB_WORKERS"} - set(env):
-            os.environ.pop(name, None)
-        try:
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main(argv)
-        except SystemExit as exc:  # argparse rejected the draw
-            assert exc.code == 2
-            return
-    out, err = out.getvalue(), err.getvalue()
-    assert code in (0, 1, 2), argv
-    assert code == 2 or not bad, argv
-    if code == 2:
-        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (argv, err)
-    elif code == 1:
-        assert argv[0] == "decide" and "--assert" in argv, argv
-    else:
-        assert out or "--output" in argv, argv
+    # file exits 2; a sweep of good values only exits 0.
+    argvs, env, expect = data.draw(contract_calls(contract_root))
+    for argv in argvs:
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch.dict(os.environ, env):
+            for name in {"DOMLAB_CONFIG", "DOMLAB_CACHE_DIR", "DOMLAB_WORKERS"} - set(env):
+                os.environ.pop(name, None)
+            try:
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main(argv)
+            except SystemExit as exc:  # argparse rejected the draw
+                assert exc.code == 2 and expect != "finish", argv
+                return
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 1, 2), argv
+        assert code == {"fail": 2, "finish": 0}.get(expect, code), argv
+        if code == 2:
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+        elif code == 1:
+            assert argv[0] == "decide" and "--assert" in argv, argv
+        else:
+            assert out or "--output" in argv, argv

@@ -380,6 +380,37 @@ def test_disjunctive_rule_changes_no_verdict(monkeypatch):
     assert (ruled_built, every_built) == ([24, 0, 3], [45, 36, 21])
 
 
+def test_orbit_rule_changes_no_verdict(monkeypatch):
+    # The default sweeps of DTOT and DIND, with a wrong answer that respects
+    # automorphisms (False for the sets of one size on products of one
+    # order), give the same reports, every certificate included, with one
+    # factor set per orbit and with every set (no generators); fresh corpora
+    # each time, so that no kept fact carries over.
+    checks = []
+    for name, wrong in (("is_minimal_dominating", (12, 2)), ("is_maximal_independent", (16, 4))):
+        real = getattr(theorems, name)
+        monkeypatch.setattr(theorems, name, lambda p, s, real=real, wrong=wrong: checks.append(p)
+                            or (p.n, s.bit_count()) != wrong and real(p, s))
+
+    def reports():
+        monkeypatch.setattr(enumeration, "_all_cache", {})
+        monkeypatch.setattr(enumeration, "_connected_cache", {})
+        out, counts = {}, []
+        for tid in ("DTOT", "DIND"):
+            out[tid] = verify_corpus(tid, cap=10**6).to_dict()
+            out[tid].pop("elapsed_ms")
+            counts.append(len(checks))
+            checks.clear()
+        return out, counts
+
+    pruned, pruned_checks = reports()
+    monkeypatch.setattr(theorems, "canonical_labeling", lambda g: (list(range(g.n)), []))
+    full, full_checks = reports()
+    assert full == pruned
+    assert [r["counterexample_count"] for r in full.values()] == [22, 16]
+    assert (pruned_checks, full_checks) == ([99, 95], [454, 262])
+
+
 def swap_mismatches(max_order: int, cap: int) -> dict[str, list]:
     """For each pair theorem, the ordered pairs (g, h) of graphs of order at
     most ``max_order``, disconnected ones included, with product order at most

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from domlab import theorems, verify
+from domlab import enumeration, theorems, verify
 from domlab.catalog import complete_graph, cycle_graph, path_graph
 from domlab.domination import is_well_covered
 from domlab.graph6 import save_graph6_file, to_graph6
@@ -251,6 +251,70 @@ def test_swap_reuse_changes_no_report(monkeypatch, forced_wrong):
     assert reports() == reused
     failing = {tid for (tid, _), r in reused.items() if r["counterexample_count"]}
     assert bool(failing & {"T2", "T3", "T4"}) == forced_wrong
+
+
+def _count_pair_lists(monkeypatch) -> list:
+    """The theorem ids of the ``_instances`` calls from here on, with the
+    pair-list slot empty."""
+    calls, instances = [], verify._instances
+    monkeypatch.setattr(verify, "_instances", lambda tid, *a: calls.append(tid) or instances(tid, *a))
+    monkeypatch.setattr(verify, "_pairs", None)
+    return calls
+
+
+def test_back_to_back_pair_sweeps_share_one_pair_list(monkeypatch):
+    # Pair sweeps on one corpus, swap-invariant or not and forked or not,
+    # build one pair list and report as sweeps that each build their own.
+    calls = _count_pair_lists(monkeypatch)
+    tids, corpus = ["T1", "DK", "UB3", "DNE", "DIND", "DTOT"], _small_pairs("T1")
+
+    def report(tid, workers):
+        out = verify_corpus(tid, corpus, workers=workers).to_dict()
+        out.pop("elapsed_ms")
+        return out
+
+    shared = [report(tid, 1 + i % 2) for i, tid in enumerate(tids)]
+    assert calls == ["T1"]
+    alone = []
+    for i, tid in enumerate(tids):
+        monkeypatch.setattr(verify, "_pairs", None)
+        alone.append(report(tid, 1 + i % 2))
+    assert alone == shared and calls == ["T1", *tids]
+
+
+def test_pair_list_is_rebuilt_for_another_cap_or_other_factors(monkeypatch, tmp_path):
+    # The slot holds only for an equal product cap and the very same factor
+    # objects: a cleared enumerator cache, a cache dir that reads its own
+    # files and a file corpus (read again by each sweep) get new ones.
+    for n in range(2, 5):
+        save_graph6_file(tmp_path / "cache" / f"connected-n{n}.g6", CorpusSpec(n, n).graphs())
+    save_graph6_file(tmp_path / "factors.g6", CorpusSpec(2, 4).graphs())
+    spec, calls = CorpusSpec(2, 4), _count_pair_lists(monkeypatch)
+    on_file = PairCorpusSpec(*[CorpusSpec(path=str(tmp_path / "factors.g6"))] * 2, 16)
+    sweeps = [(16, None), (16, None), (12, None), (16, None), (16, tmp_path / "cache"),
+              (16, tmp_path / "cache"), ("file", None), ("file", None), ("cleared", None),
+              (16, None)]
+    built = []
+    for cap, cache_dir in sweeps:
+        if cap == "cleared":
+            monkeypatch.setattr(enumeration, "_all_cache", {})
+            monkeypatch.setattr(enumeration, "_connected_cache", {})
+            cap = 16
+        corpus = on_file if cap == "file" else PairCorpusSpec(spec, spec, cap)
+        report = verify_corpus("T4", corpus, cache_dir=cache_dir)
+        assert report.scanned == (81 if cap != 12 else 45)
+        built.append(len(calls))
+    assert built == [1, 1, 2, 3, 4, 4, 5, 6, 7, 7]
+
+
+def test_single_graph_theorem_with_a_pair_corpus_fails_before_any_work(monkeypatch):
+    monkeypatch.setattr(verify, "enumerate_connected", _enumerated)
+    calls, spec = _count_pair_lists(monkeypatch), CorpusSpec(2, 4)
+    with pytest.raises(ValueError, match="CHAIN takes a single-graph corpus"):
+        verify_corpus("CHAIN", PairCorpusSpec(spec, spec))
+    with pytest.raises(ValueError, match="T1 takes a pair corpus"):
+        verify_corpus("T1", spec)
+    assert calls == ["CHAIN", "T1"] and verify._pairs is None
 
 
 @pytest.mark.parametrize("workers", [1, 2])
