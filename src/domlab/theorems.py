@@ -16,51 +16,53 @@ direction failed; the product biconditionals (T2, T3, T4, LK2, DKN) all take
 one form, :func:`_wd_iff`, whose verdict and witness come from one
 well-dominated certificate.
 
-Pair implications whose conclusion or hypothesis speaks of the factors
-(T1, WCFACTOR, G4CART, DK, L3G, TV) test the factor side first and build
-the product only when that side does not settle the instance; the verdict
-is the same boolean, so status, clause and witness are unchanged.  UB3
-accepts a greedy dominating set of the direct product within the bound,
-since gamma is at most the size of any dominating set, and runs the exact
-search only when the greedy set is too large.  LK2, L2P and LK3 build no
-g x K_m (m = 2, 3) when g's kept i and alpha differ, for then the product is
-not well-covered, hence not well-dominated: for a maximal independent set I
-of g, I x V(K_m) is maximal independent in g x K_m (a vertex (v, x) with v
-not in I has a neighbour c in I, and (c, y) is adjacent to it for any
-y != x), so the product has maximal independent sets of sizes m i and
-m alpha.  LK2 still builds the product when g has the shape, so that a
-failed converse names its witness; a skipped product always reads ``HOLDS``.
-No such lemma holds for the prism g box K2 (50 connected graphs of order
-<= 8 that are not well-covered have a well-covered prism), so PRISM uses
-another.  Take a maximum independent set A of g, a greedy maximal independent
-set J of g - A and a minimum dominating set D.  D x {0, 1} dominates the
-prism, and A x {0} u J x {1} is maximal independent in it, hence minimal
-dominating: the layers meet only in the edges (v, 0)(v, 1) and J misses A;
-a vertex (v, 0) outside the set has a neighbour in A x {0}, and a (v, 1)
-outside it has (v, 0) when v is in A and a neighbour in J x {1} otherwise.
-So alpha + |J| > 2 gamma gives the prism minimal dominating sets of two sizes, and PRISM
-reads ``HOLDS`` without building it.
+An entry's ``settled``, where set, is a rule: a test on kept facts and cheap
+predicates that :func:`check_instance` runs after the hypothesis, returning
+``HOLDS`` without the conclusion where it fires.  It may fire only where the
+conclusion reads ``HOLDS``, so that it saves work but changes no verdict, and
+one test checks each rule against the conclusion.  A rule looks up what it
+calls by module name at each call, so a patched name reaches it.  The factor
+tests that T1, WCFACTOR, G4CART, DK, L3G and TV make first are part of their
+statements, not rules: without its own, T1 would ask K2 box K2, whose factors
+and product are all well-dominated, for factor certificates that do not
+exist.  UB3 accepts a greedy dominating set of the direct product within the
+bound, since gamma is at most the size of any dominating set, and runs the
+exact search only when the greedy set is too large.
 
-DNE, T4 and E1 decide no disjunctive product g v h that the factors' kept
-facts already give minimal dominating sets of two sizes.  For maximal
-independent sets I of g and J of h, I x J is maximal independent in g v h
-(DIND's lemma), hence minimal dominating, so the product has minimal
+The rule of LK2, L2P and LK3 is that g's kept i is below its alpha.  Then
+g x K_m (m = 2, 3) is not well-covered, hence not well-dominated: for a
+maximal independent set I of g, I x V(K_m) is maximal independent in g x K_m
+(a vertex (v, x) with v not in I has a neighbour c in I, and (c, y) is
+adjacent to it for any y != x), so the product has maximal independent sets
+of sizes m i and m alpha.  LK2's rule does not fire when g has the shape, so
+that a failed converse names its witness.  No such lemma holds for the prism
+g box K2 (50 connected graphs of order <= 8 that are not well-covered have a
+well-covered prism), so PRISM's rule is another.  Take a maximum independent
+set A of g, a greedy maximal independent set J of g - A and a minimum
+dominating set D.  D x {0, 1} dominates the prism, and A x {0} u J x {1} is
+maximal independent in it, hence minimal dominating: the layers meet only in
+the edges (v, 0)(v, 1) and J misses A; a vertex (v, 0) outside the set has a
+neighbour in A x {0}, and a (v, 1) outside it has (v, 0) when v is in A and a
+neighbour in J x {1} otherwise.  So alpha + |J| > 2 gamma gives the prism
+minimal dominating sets of two sizes.
+
+The rule of DNE, and of T4 when neither factor is complete, is that the
+factors' kept facts give g v h minimal dominating sets of two sizes.  For
+maximal independent sets I of g and J of h, I x J is maximal independent in
+g v h (DIND's lemma), hence minimal dominating, so the product has minimal
 dominating sets of sizes i(g) i(h) and alpha(g) alpha(h), which differ when
 g or h is not well-covered.  For a vertex v of g that is not universal and a
 minimal total dominating set T of h, {v} x T is minimal dominating (DTOT's
 lemma): a vertex (a, b) has a neighbour t of b in T, so (v, t) dominates it;
-and for t in T, a vertex b of h whose only neighbour in T is t, and a
-vertex a != v of g not adjacent to v, (a, b) is dominated by (v, t) alone.
-So alpha(g) alpha(h) and the sizes |T| of each isolate-free factor whose mate
-is not complete are sizes of minimal dominating sets, and two distinct values
-among them make g v h not well-dominated.  Where that holds, DNE reads
-``HOLDS``, and so does T4 when neither factor is complete (its right-hand
-side is then false); a complete factor's product is still decided, so that a
-forced converse has products of the wrong shape to fail on.  E1's hypothesis
-uses the well-covered half only: the total half not firing is E1's own
-conclusion.  DKN still builds every product, for the witnesses of its
-converse, and so do DIND and DTOT, which check the two lemmas.  L3G's direct
-products are not skipped either, since its factor-first test needs them.
+and for t in T, a vertex b of h whose only neighbour in T is t, and a vertex
+a != v of g not adjacent to v, (a, b) is dominated by (v, t) alone.  So
+alpha(g) alpha(h) and the sizes |T| of each isolate-free factor whose mate is
+not complete are sizes of minimal dominating sets, and two distinct values
+among them make g v h not well-dominated.  T4 still decides a complete
+factor's product, so that a forced converse has products of the wrong shape
+to fail on.  E1's hypothesis reads the well-covered half only: the total half
+not firing is E1's own conclusion.  DKN, DIND and DTOT have no rule: they
+decide every product, for DKN's witnesses and the two lemmas.
 
 DIND and DTOT check one factor set per orbit of the automorphisms that
 ``canonical_labeling`` finds.  Automorphisms a of g and b of h give (x, y) ->
@@ -151,6 +153,7 @@ class TheoremEntry:
     swap_invariant: bool = False  # (g, h) and (h, g) always get the same status
     orders: tuple[int, int] | None = None  # default sweep orders, of each factor for a pair
     triangle_free: bool = False  # the default sweep is over triangle-free graphs
+    settled: Callable | None = None  # a rule: true only where the conclusion holds
 
 
 def _sets(**kw) -> dict:
@@ -211,8 +214,8 @@ def _vertex_firsts(g: Graph) -> int:
     return sum(_orbit_firsts(g, (1 << v for v in range(g.n))))
 
 
-def _i_equals_alpha(g: Graph) -> bool:
-    return independent_domination_number(g) == independence_number(g)
+def _i_below_alpha(g: Graph) -> bool:
+    return independent_domination_number(g) < independence_number(g)
 
 
 def _prism_has_two_sizes(g: Graph) -> bool:
@@ -221,14 +224,12 @@ def _prism_has_two_sizes(g: Graph) -> bool:
     return alpha + rest.bit_count() > 2 * domination_number(g)
 
 
-def _disjunctive_has_two_sizes(g: Graph, h: Graph, total: bool = True) -> bool:
+def _disjunctive_has_two_sizes(pair) -> bool:
     """True when the kept facts of g and h (whose cut set lists keep every
-    size) name two sizes of minimal dominating sets of g v h (the rule in the
-    module docstring); with ``total`` false, only when g or h is not well-covered."""
+    size) give g v h minimal dominating sets of two sizes (module docstring)."""
+    g, h = pair
     if not (g.fact(is_well_covered) and h.fact(is_well_covered)):
         return True
-    if not total:
-        return False
     sizes = {independence_number(g) * independence_number(h)}
     for x, mate in ((g, h), (h, g)):
         if universal_vertices(mate) != mate.full_mask and not has_isolated_vertex(x):
@@ -237,7 +238,7 @@ def _disjunctive_has_two_sizes(g: Graph, h: Graph, total: bool = True) -> bool:
 
 
 def _k3_well_dominated(g: Graph) -> bool:
-    return _i_equals_alpha(g) and is_well_dominated(direct(g, K3).graph)
+    return is_well_dominated(direct(g, K3).graph)
 
 
 # -- single-graph conclusions -------------------------------------------------
@@ -266,8 +267,6 @@ def _chain(g: Graph) -> Verdict:
 
 
 def _prism(g: Graph) -> Verdict:
-    if _prism_has_two_sizes(g):
-        return HOLDS
     p = cartesian(g, K2).graph
     if is_well_dominated(p) and not are_isomorphic(g, K2):
         return _fail("prism well-dominated but base is not K2")
@@ -290,8 +289,6 @@ def _px(g: Graph) -> Verdict:
 
 
 def _lk2(g: Graph) -> Verdict:
-    if not _i_equals_alpha(g) and not _c4_or_corona(g):
-        return HOLDS
     return _wd_iff(direct(g, K2).graph, _c4_or_corona(g),
                    "direct product with K2 well-dominated but base has the wrong shape",
                    "4-cycle or corona, but direct product with K2 not well-dominated")
@@ -394,8 +391,6 @@ def _t4_rhs(g: Graph, h: Graph) -> bool:
 
 def _t4(pair) -> Verdict:
     g, h = pair
-    if not is_complete(g) and not is_complete(h) and _disjunctive_has_two_sizes(g, h):
-        return HOLDS
     return _wd_iff(disjunctive(g, h).graph, _t4_rhs(g, h),
                    "disjunctive product well-dominated without the complete-factor shape",
                    "complete factor with small-gamma well-dominated mate, "
@@ -506,11 +501,7 @@ def _dtot(pair) -> Verdict:
 
 
 def _dne(pair) -> Verdict:
-    g, h = pair
-    if _disjunctive_has_two_sizes(g, h):
-        return HOLDS
-    p = disjunctive(g, h).graph
-    if is_well_dominated(p):
+    if is_well_dominated(disjunctive(*pair).graph):
         return _fail("disjunctive product of two non-complete factors is well-dominated")
     return HOLDS
 
@@ -603,7 +594,7 @@ def _hyp_e1(pair) -> bool:
     g, h = pair
     return (_hyp_pair_nontrivial_connected(pair)
             and not is_complete(g) and not is_complete(h)
-            and not _disjunctive_has_two_sizes(g, h, total=False)
+            and g.fact(is_well_covered) and h.fact(is_well_covered)
             and is_well_dominated(disjunctive(g, h).graph))
 
 
@@ -620,7 +611,9 @@ THEOREMS: dict[str, TheoremEntry] = {
                      _hyp_t3, _t3, swap_invariant=True),
         TheoremEntry("T4", 2, "well-dominated disjunctive products pair a complete "
                      "factor with a well-dominated mate of gamma <= 2",
-                     _hyp_pair_nontrivial_connected, _t4, swap_invariant=True, orders=(2, 4)),
+                     _hyp_pair_nontrivial_connected, _t4, swap_invariant=True, orders=(2, 4),
+                     settled=lambda pair: (not any(map(is_complete, pair))
+                                           and _disjunctive_has_two_sizes(pair))),
         TheoremEntry("P1", 1, "well-dominated implies well-covered", _hyp_true, _p1),
         TheoremEntry("CHAIN", 1, "gamma <= i <= alpha <= Gamma", _hyp_true, _chain),
         TheoremEntry("UB3", 2, "gamma(direct product) <= 3 gamma gamma for isolate-free "
@@ -631,7 +624,8 @@ THEOREMS: dict[str, TheoremEntry] = {
                      "has a K2 factor", _hyp_pair_girth4, _g4cart, swap_invariant=True,
                      triangle_free=True),
         TheoremEntry("PRISM", 1, "a well-dominated prism forces base K2",
-                     _hyp_nontrivial_connected, _prism, orders=(2, 8)),
+                     _hyp_nontrivial_connected, _prism, orders=(2, 8),
+                     settled=_prism_has_two_sizes),
         TheoremEntry("BC", 1, "an isolate-free graph has an open irredundant "
                      "minimum dominating set", _hyp_no_isolated, _bc, orders=(1, 7)),
         TheoremEntry("DK", 2, "well-covered direct product: the isolatable-free "
@@ -646,11 +640,14 @@ THEOREMS: dict[str, TheoremEntry] = {
                      orders=(2, 8)),
         TheoremEntry("LK2", 1, "direct product with K2 well-dominated exactly "
                      "for 4-cycles and coronas of connected graphs",
-                     _hyp_nontrivial_connected, _lk2, orders=(2, 8)),
+                     _hyp_nontrivial_connected, _lk2, orders=(2, 8),
+                     settled=lambda g: _i_below_alpha(g) and not _c4_or_corona(g)),
         TheoremEntry("L2P", 1, "well-dominated direct product with K3: every "
-                     "maximal independent set is a 2-packing", _hyp_connected, _l2p),
+                     "maximal independent set is a 2-packing", _hyp_connected, _l2p,
+                     settled=_i_below_alpha),
         TheoremEntry("LK3", 1, "direct product with K3 well-dominated only "
-                     "for base K3", _hyp_nontrivial_connected, _lk3, orders=(2, 8)),
+                     "for base K3", _hyp_nontrivial_connected, _lk3, orders=(2, 8),
+                     settled=_i_below_alpha),
         TheoremEntry("LNE", 1, "no connected graph has 2 <= alpha = gamma "
                      "with gamma_t = 2 gamma", _hyp_connected, _lne),
         TheoremEntry("DIND", 2, "products of maximal independent sets are maximal "
@@ -661,7 +658,8 @@ THEOREMS: dict[str, TheoremEntry] = {
                      _both(_hyp_no_isolated), _dtot, swap_invariant=True,
                      orders=(2, 4)),
         TheoremEntry("DNE", 2, "disjunctive products of two non-complete factors "
-                     "are never well-dominated", _hyp_dne, _dne, orders=(2, 4)),
+                     "are never well-dominated", _hyp_dne, _dne, orders=(2, 4),
+                     settled=_disjunctive_has_two_sizes),
         TheoremEntry("DKN", 2, "complete-factor disjunctive product well-dominated "
                      "exactly when the mate is well-dominated with gamma <= 2",
                      _hyp_dkn, _dkn, orders=(2, 4)),
@@ -689,4 +687,6 @@ def check_instance(tid: str, instance) -> Verdict:
         instance = tuple(instance)
     if not entry.hypothesis(instance):
         return HYP_NOT_MET
+    if entry.settled is not None and entry.settled(instance):
+        return HOLDS
     return entry.conclusion(instance)

@@ -76,6 +76,18 @@ def all_minimal_dominating(g: Graph) -> set[int]:
     return {s for s in range(1 << g.n) if minimal_dominating(g, s)}
 
 
+def well_dominated_certificate(g: Graph) -> tuple[int, int] | None:
+    """None if every minimal dominating set of g has one size, else the first
+    two of different sizes in a scan of all subsets, the smaller first."""
+    first: dict[int, int] = {}
+    for s in range(1 << g.n):
+        if minimal_dominating(g, s):
+            first.setdefault(s.bit_count(), s)
+            if len(first) == 2:
+                return tuple(sorted(first.values(), key=int.bit_count))
+    return None
+
+
 def all_maximal_independent(g: Graph) -> set[int]:
     # maximal independent == independent and dominating
     return {s for s in range(1 << g.n) if maximal_independent(g, s)}

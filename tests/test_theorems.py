@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import hashlib
 import json
 import random
@@ -11,10 +13,9 @@ from domlab.domination import (
     is_minimal_dominating,
     is_maximal_independent,
     is_well_covered,
-    is_well_dominated,
 )
 from domlab.classify import universal_vertices
-from domlab.enumeration import all_graphs, connected_graphs
+from domlab.enumeration import all_graphs
 from domlab.graph6 import to_graph6
 from domlab.graphs import Graph, is_connected, iter_bits, mask_of
 from domlab import enumeration, theorems
@@ -264,120 +265,122 @@ def test_forced_wrong_shape_predicates_digest(monkeypatch):
 
 
 def test_skipped_direct_products_are_not_well_covered():
-    # The lemma behind the shortcut of LK2, L2P and LK3: for every graph of
-    # order <= 7, disconnected ones included, whose i and alpha differ, the
-    # direct product with K2 and with K3 is not well-covered.
-    checked = 0
-    for g in (g for n in range(1, 8) for g in all_graphs(n)):
-        if not theorems._i_equals_alpha(g):
-            for k in (K2, K3):
-                assert not is_well_covered(direct(g, k).graph), (to_graph6(g), k.n)
-                checked += 1
-    assert checked == 2030
+    # Stronger than the rule of LK2, L2P and LK3 needs: every graph of order
+    # <= 7, disconnected ones included, whose i and alpha differ has direct
+    # products with K2 and K3 that are not even well-covered.
+    bases = [g for n in range(1, 8) for g in all_graphs(n) if theorems._i_below_alpha(g)]
+    assert len(bases) == 1015
+    for g in bases:
+        assert not any(is_well_covered(direct(g, k).graph) for k in (K2, K3)), to_graph6(g)
 
 
-def test_shortcut_changes_no_verdict(monkeypatch):
-    # Every connected graph of orders 2..7 gets the same LK2, L2P and LK3
-    # verdicts, clause and witness included, with the shortcut and with every
-    # product built; fresh graphs each time, so that no kept fact carries over.
-    built = []
-    direct = theorems.direct
-    monkeypatch.setattr(theorems, "direct", lambda g, h: built.append(h.n) or direct(g, h))
-
-    def verdicts():
-        graphs = [Graph(g.n, g.edges()) for n in range(2, 8) for g in connected_graphs(n)]
-        return [check_instance(tid, g) for tid in ("LK2", "L2P", "LK3") for g in graphs]
-
-    shortcut = verdicts()
-    counts = built.count(2), built.count(3)
-    built.clear()
-    monkeypatch.setattr(theorems, "_i_equals_alpha", lambda g: True)
-    assert verdicts() == shortcut
-    assert (counts, (built.count(2), built.count(3))) == ((146, 146), (995, 995))
+def rule_fires(graphs, pairs, tids=None) -> dict[str, int]:
+    """How often each rule (``settled``) of the entries ``tids`` (default:
+    all) fires on ``graphs``, or on ``pairs`` for a pair entry; wherever one
+    fires, the full conclusion must read HOLDS."""
+    out = {}
+    for tid, entry in THEOREMS.items():
+        if entry.settled is not None and (tids is None or tid in tids):
+            xs = [x for x in (pairs if entry.arity == 2 else graphs) if entry.settled(x)]
+            assert [x for x in xs if entry.conclusion(x) != theorems.HOLDS] == [], tid
+            out[tid] = len(xs)
+    return out
 
 
-def test_skipped_prisms_are_not_well_dominated():
-    # The lemma behind PRISM's rule: for every graph of order <= 7,
-    # disconnected ones included, on which the rule fires, the prism is not
-    # well-dominated.
-    fired = 0
-    for g in (g for n in range(1, 8) for g in all_graphs(n)):
-        if theorems._prism_has_two_sizes(g):
-            assert not is_well_dominated(cartesian(g, K2).graph), to_graph6(g)
-            fired += 1
-    assert fired == 863
+RULE_FIRES = {"T4": 2020, "PRISM": 863, "LK2": 1015, "L2P": 1015, "LK3": 1015, "DNE": 2342}
 
 
-def test_prism_rule_changes_no_verdict(monkeypatch):
-    # Every connected graph of orders 2..7 gets the same PRISM verdict with
-    # the rule and with every prism built; fresh graphs each time, so that no
-    # kept fact carries over.
-    built = []
-    cartesian = theorems.cartesian
-    monkeypatch.setattr(theorems, "cartesian", lambda g, h: built.append(g) or cartesian(g, h))
+def fresh_rule_fires(tids) -> dict[str, int]:
+    """``rule_fires`` on graphs of order <= 7 and ordered pairs of graphs of
+    order <= 5, disconnected ones included, hypothesis or not, fresh copies so
+    that no kept fact answers."""
+    graphs = [Graph._raw(g.n, g.adj) for n in range(1, 8) for g in all_graphs(n)]
+    small = [g for g in graphs if g.n <= 5]
+    return rule_fires(graphs, [(g, h) for g in small for h in small], tids)
 
-    def verdicts():
-        graphs = [Graph(g.n, g.edges()) for n in range(2, 8) for g in connected_graphs(n)]
-        return [check_instance("PRISM", g) for g in graphs]
 
-    ruled = verdicts()
-    with_rule = len(built)
-    built.clear()
-    monkeypatch.setattr(theorems, "_prism_has_two_sizes", lambda g: False)
-    assert verdicts() == ruled
-    assert (with_rule, len(built)) == (205, 995)
+def assert_rules_sound(monkeypatch, tids):
+    """The rules of ``tids`` fire their pinned number of times, only where the
+    conclusion holds, by the kernel and then with the deciders on ``theorems``
+    swapped for the subset oracle on products of order <= 12; returns the
+    oracle, whose cache holds the products it decided."""
+    fires = {tid: RULE_FIRES[tid] for tid in tids}
+    assert fresh_rule_fires(tids) == fires
+    kernel = theorems.well_dominated_certificate
+    oracle = functools.cache(bruteforce.well_dominated_certificate)
+    monkeypatch.setattr(theorems, "well_dominated_certificate",
+                        lambda p: oracle(p) if p.n <= 12 else kernel(p))
+    monkeypatch.setattr(theorems, "is_well_dominated",
+                        lambda p: theorems.well_dominated_certificate(p) is None)
+    assert fresh_rule_fires(tids) == fires
+    return oracle
+
+
+def test_rules_fire_only_where_the_conclusion_holds(monkeypatch):
+    # The entries with a rule are pinned; LK2's, L2P's and LK3's rules are
+    # checked here, PRISM's and the disjunctive one's by the two tests below.
+    assert {tid for tid, e in THEOREMS.items() if e.settled is not None} == set(RULE_FIRES)
+    oracle = assert_rules_sound(monkeypatch, ("LK2", "L2P", "LK3"))
+    assert oracle.cache_info().currsize == 140  # products the oracle decided
+
+
+def test_skipped_prisms_are_not_well_dominated(monkeypatch):
+    oracle = assert_rules_sound(monkeypatch, ("PRISM",))
+    assert oracle.cache_info().currsize == 105
 
 
 def test_skipped_disjunctive_products_are_not_well_dominated(monkeypatch):
-    # The rule behind the DNE, T4 and E1 skips: for every ordered pair of
-    # graphs of order <= 5, disconnected ones included, with product order
-    # <= 25, on which it fires, the disjunctive product is not well-dominated
-    # (by the subset oracle too, up to order 12).  Then its total half alone,
-    # with every factor read as well-covered, which the first pass only sees
-    # on well-covered pairs.
-    graphs = [g for n in range(1, 6) for g in all_graphs(n)]
-    pairs = [(g, h) for g in graphs for h in graphs if g.n * h.n <= 25]
-
-    def fired():
-        out = [(g, h) for g, h in pairs if theorems._disjunctive_has_two_sizes(g, h)]
-        for g, h in out:
-            p = disjunctive(g, h).graph
-            assert not is_well_dominated(p), (to_graph6(g), to_graph6(h))
-            if p.n <= 12:
-                sizes = {s.bit_count() for s in bruteforce.all_minimal_dominating(p)}
-                assert len(sizes) > 1, (to_graph6(g), to_graph6(h))
-        return len(out)
-
-    assert fired() == 2342
+    # Then with every factor read as well-covered: the disjunctive rule's
+    # total half alone, which the first passes only see on well-covered pairs.
+    oracle = assert_rules_sound(monkeypatch, ("T4", "DNE"))
     monkeypatch.setattr(theorems, "is_well_covered", lambda g: True)
-    assert fired() == 2065
+    assert fresh_rule_fires(("T4", "DNE")) == {"T4": 1865, "DNE": 2065}
+    assert oracle.cache_info().currsize == 227
 
 
-def test_disjunctive_rule_changes_no_verdict(monkeypatch):
-    # The default sweeps of DNE, T4 and E1 give the same reports with the
-    # rule and with every product decided; fresh corpora each time, so that
-    # no kept fact carries over.
+def rule_builds(monkeypatch, tids) -> tuple[dict[str, int], dict[str, int]]:
+    """The products each sweep of ``tids`` builds (single-graph entries over
+    connected graphs of orders 2..7), on fresh corpora so that no kept fact
+    carries over: as is, then with every rule dropped and every factor read as
+    well-covered, which must report alike."""
     built = []
-    disjunctive = theorems.disjunctive
-    monkeypatch.setattr(theorems, "disjunctive",
-                        lambda g, h: built.append(g) or disjunctive(g, h))
+    for name in ("cartesian", "direct", "disjunctive"):
+        real = getattr(theorems, name)
+        monkeypatch.setattr(theorems, name, lambda g, h, real=real: built.append(h) or real(g, h))
 
     def reports():
         monkeypatch.setattr(enumeration, "_all_cache", {})
         monkeypatch.setattr(enumeration, "_connected_cache", {})
-        out, counts = {}, []
-        for tid in ("T4", "DNE", "E1"):
-            out[tid] = verify_corpus(tid).to_dict()
-            out[tid].pop("elapsed_ms")
-            counts.append(len(built))
+        out, counts = {}, {}
+        for tid in tids:
+            report = verify_corpus(tid, CorpusSpec(2, 7) if THEOREMS[tid].arity == 1 else None)
+            out[tid] = {**report.to_dict(), "elapsed_ms": None}
+            counts[tid] = len(built)
             built.clear()
         return out, counts
 
     ruled, ruled_built = reports()
-    monkeypatch.setattr(theorems, "_disjunctive_has_two_sizes", lambda *a, **k: False)
+    for tid in tids:
+        monkeypatch.setitem(THEOREMS, tid, dataclasses.replace(THEOREMS[tid], settled=None))
+    monkeypatch.setattr(theorems, "is_well_covered", lambda g: True)
     every, every_built = reports()
     assert every == ruled
-    assert (ruled_built, every_built) == ([24, 0, 3], [45, 36, 21])
+    return ruled_built, every_built
+
+
+def test_shortcut_changes_no_verdict(monkeypatch):
+    assert rule_builds(monkeypatch, ("LK2", "L2P", "LK3")) == (
+        dict(LK2=146, L2P=146, LK3=0), dict(LK2=995, L2P=995, LK3=0))
+
+
+def test_prism_rule_changes_no_verdict(monkeypatch):
+    assert rule_builds(monkeypatch, ("PRISM",)) == (dict(PRISM=205), dict(PRISM=995))
+
+
+def test_disjunctive_rule_changes_no_verdict(monkeypatch):
+    # E1 has no rule, but its hypothesis reads kept is_well_covered first.
+    assert rule_builds(monkeypatch, ("T4", "DNE", "E1")) == (
+        dict(T4=24, DNE=0, E1=3), dict(T4=45, DNE=36, E1=21))
 
 
 def test_orbit_rule_changes_no_verdict(monkeypatch):
